@@ -100,11 +100,11 @@ def cmd_train(parser, args) -> int:
             for st in stats:
                 writer.writerow([head, st.epoch, f"{st.lr:.12g}", f"{st.train_loss:.12g}",
                                  f"{st.val_loss:.12g}", f"{st.val_top1:.12g}"])
-    last_d, last_s = history.direction[-1], history.distance[-1]
-    print(f"direction: {len(history.direction)} epochs, best val top1 "
-          f"{max(st.val_top1 for st in history.direction):.3f} (last {last_d.val_top1:.3f})")
-    print(f"distance:  {len(history.distance)} epochs, best val top1 "
-          f"{max(st.val_top1 for st in history.distance):.3f} (last {last_s.val_top1:.3f})")
+    for label, stats in (("direction:", history.direction), ("distance: ", history.distance)):
+        # the saved head is the first epoch with the lowest val loss
+        best = min(stats, key=lambda st: st.val_loss)
+        print(f"{label} {len(stats)} epochs, best val top1 {best.val_top1:.3f} "
+              f"(epoch {best.epoch}, last {stats[-1].val_top1:.3f})")
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, near_steering
+from .geometry import ArrayConfig, _steering_rows
 
 _MAGIC = b"NBCB"
 _FORMAT_VERSION = 1
@@ -154,14 +154,16 @@ def build_polar_codebook(
     r_max: float,
     angle_scaled: bool = False,
 ) -> PolarCodebook:
-    """Construct the I = N*S polar codebook on the default sampling grids."""
+    """Construct the I = N*S polar codebook on the default sampling grids.
+
+    Each ring's N codewords come from one block of steering vectors;
+    ring_grid has checked that every distance is positive.
+    """
     angles = angle_grid(cfg.num_antennas)
     rings = ring_grid(num_rings, r_min, r_max, angles, angle_scaled=angle_scaled)
-    n_ant = cfg.num_antennas
-    codewords = np.empty((n_ant * num_rings, n_ant), dtype=np.complex128)
-    for s in range(num_rings):
-        for n in range(n_ant):
-            codewords[s * n_ant + n] = near_steering(cfg, angles[n], rings[s, n])
+    codewords = np.concatenate([
+        _steering_rows(cfg, angles[:, None], ring[:, None]) for ring in rings
+    ])
     return PolarCodebook(array=cfg, angles=angles, ring_distances=rings, codewords=codewords)
 
 

@@ -3,6 +3,8 @@
 Every sample is regenerable from its own 64-bit seed: the per-sample RNG
 draws the paths, the training SNR, and the measurement noise in a fixed
 order, and the noiseless exhaustive sweep provides the (n*, s*) labels.
+The noise layout is part of the format: for each wide beam in order, N real
+normals and then N imaginary normals, N being the number of antennas.
 The file format is a fixed header, a JSON blob with the generating config
 (so labels can be audited later), and fixed-size binary records.
 """
@@ -88,7 +90,8 @@ def generate_sample(
     snr_range_db: tuple[float, float],
 ):
     """Regenerate one sample from its seed. Draw order is part of the format:
-    paths, then SNR, then measurement noise."""
+    paths, then SNR, then measurement noise, which for each wide beam in
+    order is N real normals followed by N imaginary normals."""
     rng = np.random.default_rng(int(seed))
     paths = sample_paths(rng, scenario)
     h = synth_channel(polar.array, paths)

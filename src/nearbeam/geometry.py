@@ -124,6 +124,13 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """
     if r <= 0:
         raise ValueError(f"distance must be positive, got {r}")
+    return _steering_rows(cfg, theta, r)
+
+
+def _steering_rows(cfg: ArrayConfig, theta, r) -> np.ndarray:
+    """:func:`near_steering` without the distance check. (K, 1) arrays of
+    angles and positive distances give a (K, N) block whose row k equals
+    near_steering(cfg, theta[k], r[k]) bit for bit."""
     offset = antenna_offsets(cfg) * cfg.antenna_spacing
     excess = offset * offset - 2.0 * r * offset * theta  # r_n^2 - r^2
     dist = np.sqrt(r * r + excess)

@@ -63,13 +63,17 @@ class MeasurementVector:
 def measure(
     w: np.ndarray, h: np.ndarray, link: LinkConfig, rng: np.random.Generator
 ) -> complex:
-    """One beam test: y = sqrt(P) w^H h x + w^H n, fresh noise every call."""
+    """One beam test: y = sqrt(P) w^H h x + w^H n, fresh noise every call.
+
+    The noise takes 2N normals from ``rng``: N real parts, then N imaginary
+    parts. Stored datasets depend on this order.
+    """
     if w.shape != h.shape:
         raise ValueError(f"codeword/channel shape mismatch: {w.shape} vs {h.shape}")
     y = np.sqrt(link.transmit_power) * np.vdot(w, h) * link.pilot_symbol
     if link.noise_variance > 0:
-        n = len(w)
-        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        noise = np.empty(len(w), dtype=np.complex128)
+        noise.real, noise.imag = rng.standard_normal((2, len(w)))
         y = y + np.vdot(w, noise) * np.sqrt(link.noise_variance / 2.0)
     return complex(y)
 
@@ -93,13 +97,40 @@ def achievable_rate(w: np.ndarray, h: np.ndarray, link: LinkConfig) -> float:
     return float(np.log2(1.0 + link.transmit_power * gain / link.noise_variance))
 
 
+# OpenBLAS splits a complex matrix-vector product of _BLAS_SPLIT_ENTRIES
+# entries or more over its threads. For codebooks under _SPLIT_PAYS_FROM
+# entries two threads are no faster than one (about 10 us either way at
+# 320 x 64), and while another process holds the second core every split
+# waits for the helper thread to be scheduled: desk-scale generation ran 3x
+# slower with one core busy. Such codebooks are swept in row blocks under the
+# split size, each on the calling thread. Each product row is the same dot
+# product whatever the blocking, so the result is bit-identical.
+_BLAS_SPLIT_ENTRIES = 4096
+_SPLIT_PAYS_FROM = 1 << 16
+
+
+def _codebook_times(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x for a (K, N) codeword matrix, kept on one thread when w is small."""
+    k, n = w.shape
+    rows = (_BLAS_SPLIT_ENTRIES - 1) // n
+    if w.size >= _SPLIT_PAYS_FROM or rows < 1:
+        return w @ x
+    out = np.empty(k, dtype=np.result_type(w, x))
+    whole = k - k % rows
+    np.matmul(w[:whole].reshape(-1, rows, n), x, out=out[:whole].reshape(-1, rows))
+    out[whole:] = w[whole:] @ x
+    return out
+
+
 def sweep_oracle(book: PolarCodebook, h: np.ndarray) -> tuple[int, int, int]:
     """Noiseless exhaustive sweep: (i*, s*, n*) maximizing |w_i^H h|.
 
     Ties break toward the smallest index, which makes this the deterministic
     label generator for training data and the ground-truth baseline.
     """
-    corr = np.abs(book.codewords.conj() @ h)
+    # conj(W) h = conj(W conj(h)): conjugating the N-vector spares a copy of
+    # the codebook and leaves every magnitude bit-identical
+    corr = np.abs(_codebook_times(book.codewords, h.conj()))
     i_star = int(np.argmax(corr)) + 1
     s_star, n_star = index_to_pair(i_star, book.num_angles, book.num_rings)
     return i_star, s_star, n_star

@@ -1,8 +1,10 @@
 import pytest
 
+import nearbeam.cli as cli_module
 from nearbeam.cli import main
 from nearbeam.codebook import import_codebook
 from nearbeam.dataset import load_dataset
+from nearbeam.training import EpochStats, TrainHistory
 
 
 TINY_YAML = """\
@@ -81,6 +83,32 @@ class TestPipeline:
         assert trials[0] == "scheme,snr_db,trial,G_N,rate,eff_rate,beams,seed"
         assert len(trials) == 1 + 4 * 5
         assert (out / "summary.csv").exists()
+
+    def test_train_reports_the_saved_epochs_val_top1(self, tiny_cfg, tmp_path, capsys,
+                                                    monkeypatch):
+        # the saved head is the first epoch with the lowest val loss; here
+        # that is epoch 1, and neither the best nor the last val_top1
+        def stats(top1):
+            losses = [0.9, 0.5, 0.5, 0.7]
+            return [EpochStats(epoch=e, lr=0.01, train_loss=1.0, val_loss=loss, val_top1=acc)
+                    for e, (loss, acc) in enumerate(zip(losses, top1))]
+
+        real_train = cli_module.train_heads
+
+        def train_heads(ds, cfg):
+            dir_model, dist_model, _ = real_train(ds, cfg)
+            return dir_model, dist_model, TrainHistory(direction=stats([0.1, 0.2, 0.3, 0.9]),
+                                                       distance=stats([0.6, 0.4, 0.5, 0.7]))
+
+        monkeypatch.setattr(cli_module, "train_heads", train_heads)
+        out = tmp_path / "out"
+        args = ["--config", str(tiny_cfg), "--seed", "3", "--out-dir", str(out)]
+        assert main(["gen-dataset", *args]) == 0
+        capsys.readouterr()
+        assert main(["train", *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "best val top1 0.200 (epoch 1, last 0.900)" in lines[0]
+        assert "best val top1 0.400 (epoch 1, last 0.700)" in lines[1]
 
     def test_stub_experiment_and_sweep_baseline(self, tiny_cfg, tmp_path):
         out = tmp_path / "out"

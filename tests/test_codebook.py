@@ -106,12 +106,15 @@ class TestPolarCodebook:
         npt.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_codewords_match_steering_exactly(self):
+        # the per-ring build against one near_steering call per codeword
         cfg = ArrayConfig(16)
-        book = build_polar_codebook(cfg, 3, 5.0, 40.0)
-        for s, n in [(1, 1), (2, 7), (3, 16)]:
-            i = book.index(s, n)
-            expected = near_steering(cfg, book.angles[n - 1], book.ring_distances[s - 1, n - 1])
-            assert np.array_equal(book.codeword(i), expected)
+        for angle_scaled in (False, True):
+            book = build_polar_codebook(cfg, 3, 5.0, 40.0, angle_scaled=angle_scaled)
+            expected = np.stack([
+                near_steering(cfg, book.angles[n - 1], book.ring_distances[s - 1, n - 1])
+                for s in range(1, 4) for n in range(1, 17)
+            ])
+            assert np.array_equal(book.codewords, expected)
 
     def test_far_field_limit_matches_narrow(self):
         cfg = ArrayConfig(4)

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from beam_reference import reference_beam_tests
+from nearbeam.codebook import build_polar_codebook, build_wide_codebook, index_to_pair
 from nearbeam.dataset import (
     DatasetFormatError,
     export_labels_csv,
@@ -11,7 +13,8 @@ from nearbeam.dataset import (
     split_sizes,
     spot_check_labels,
 )
-from nearbeam.geometry import ArrayConfig, ScenarioConfig
+from nearbeam.geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channel
+from nearbeam.measurement import link_from_snr_db
 
 
 def small_dataset(num_samples=60, seed=7, n=16, rings=3):
@@ -69,6 +72,28 @@ class TestGeneration:
         )
         counts = np.bincount(ds.label_s, minlength=6)[1:]
         assert np.all(counts > 0)
+
+
+class TestStreamCompatibility:
+    def test_matches_per_sample_reference_loop(self):
+        # the loop draws as the format prescribes, so equal labels, SNRs and
+        # seeds mean .nbds files written before still pass the spot check
+        cfg, scenario, rings = ArrayConfig(16), ScenarioConfig(), 3
+        ds = small_dataset(num_samples=25, seed=31, n=16, rings=rings)
+        polar = build_polar_codebook(cfg, rings, 10.0, 60.0)
+        wide = build_wide_codebook(cfg, 4)
+        seeds = np.random.default_rng(31).integers(0, 2 ** 63, size=25, dtype=np.uint64)
+        npt.assert_array_equal(ds.seeds, seeds)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(int(seed))
+            h = synth_channel(cfg, sample_paths(rng, scenario))
+            snr_db = rng.uniform(0.0, 20.0)
+            yw = reference_beam_tests(wide.codewords, h, link_from_snr_db(snr_db), rng)
+            best = int(np.argmax([abs(np.vdot(w, h)) for w in polar.codewords])) + 1
+            s_star, n_star = index_to_pair(best, 16)
+            assert (ds.label_n[i], ds.label_s[i]) == (n_star, s_star)
+            assert ds.snr_db[i] == snr_db
+            npt.assert_allclose(ds.yw[i], yw, rtol=1e-12, atol=0)
 
 
 class TestRoundTrip:

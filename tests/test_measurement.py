@@ -2,16 +2,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nearbeam.codebook import angle_grid, build_polar_codebook, build_wide_codebook
+from beam_reference import reference_beam_tests
+from nearbeam.codebook import (
+    angle_grid,
+    build_narrow_codebook,
+    build_polar_codebook,
+    build_wide_codebook,
+)
 from nearbeam.geometry import ArrayConfig, PathParams, near_steering, synth_channel
 from nearbeam.measurement import (
     LinkConfig,
     achievable_rate,
     link_from_snr_db,
     measure,
+    _codebook_times,
     measure_wide,
     sweep_oracle,
 )
+from nearbeam.schemes import UniformStub, far_field_baseline, improved_scheme
 
 NOISELESS = LinkConfig(transmit_power=1.0, noise_variance=0.0)
 
@@ -118,6 +126,57 @@ class TestMeasureWide:
         assert abs(rho) <= 0.02
 
 
+LINKS = [link_from_snr_db(10.0), LinkConfig(2.0, 0.3, np.exp(0.4j)), NOISELESS]
+
+
+class TestStreamCompatibility:
+    """Beam tests give the reference loop's values and leave the Generator
+    where the loop leaves it, so stored datasets still regenerate."""
+
+    @staticmethod
+    def _compare(tested, words, h, link, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = tested(rng)
+        npt.assert_allclose(got, reference_beam_tests(words, h, link, ref_rng),
+                            rtol=1e-12, atol=0)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_measure(self, link):
+        book = build_polar_codebook(ArrayConfig(32), 3, 8.0, 50.0)
+        rows = book.codewords[[5, 0, 77, 5, 40]]
+        h = random_channel(np.random.default_rng(22), n=32)
+        self._compare(lambda rng: np.array([measure(w, h, link, rng) for w in rows]),
+                      rows, h, link, 23)
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_measure_wide(self, link):
+        cfg = ArrayConfig(64)
+        wide = build_wide_codebook(cfg, 4)
+        h = random_channel(np.random.default_rng(20), n=64)
+        self._compare(lambda rng: measure_wide(wide, h, link, rng).values,
+                      wide.codewords, h, link, 21)
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_improved_scheme(self, link):
+        book = build_polar_codebook(ArrayConfig(16), 4, 8.0, 50.0)
+        h = random_channel(np.random.default_rng(24), n=16)
+        stub_dir, stub_dist = UniformStub(16), UniformStub(4)
+        cands = improved_scheme(np.zeros(4), stub_dir, stub_dist, book, h, link,
+                                np.random.default_rng(0), 3, 2).aux["candidates"]
+        self._compare(
+            lambda rng: improved_scheme(np.zeros(4), stub_dir, stub_dist, book, h, link,
+                                        rng, 3, 2).aux["measurements"],
+            book.codewords[cands - 1], h, link, 25)
+
+    def test_far_field_baseline(self):
+        narrow = build_narrow_codebook(ArrayConfig(16))
+        h = random_channel(np.random.default_rng(26), n=16)
+        link = LINKS[0]
+        self._compare(lambda rng: far_field_baseline(narrow, h, link, rng).aux["measurements"],
+                      narrow.codewords, h, link, 27)
+
+
 class TestAchievableRate:
     def test_values(self):
         w = np.array([1.0 + 0j, 0j])
@@ -183,6 +242,17 @@ class TestSweepOracle:
         base = sweep_oracle(book, h)
         for c in (2.0, 0.001, np.exp(1.7j), -3.0 + 4.0j):
             assert sweep_oracle(book, c * h) == base
+
+    @pytest.mark.parametrize("n,rings", [(16, 4), (33, 5), (64, 5), (128, 5)])
+    def test_blocked_product_is_bit_identical(self, n, rings):
+        # 16 and 33 leave a partial block, 64 is the desk size, and 128 is
+        # past the size from which one threaded product is used
+        book = build_polar_codebook(ArrayConfig(n), rings, 8.0, 50.0)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            hc = random_channel(rng, n=n).conj()
+            npt.assert_array_equal(_codebook_times(book.codewords, hc),
+                                   book.codewords @ hc)
 
     def test_tie_breaks_to_smallest_index(self):
         book = build_polar_codebook(ArrayConfig(8), 2, 8.0, 50.0)
