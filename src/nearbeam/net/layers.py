@@ -1,10 +1,17 @@
 """Layers of the from-scratch feed-forward engine.
 
 Everything is float64 numpy. Each layer caches what its backward pass needs
-during ``forward(training=True)``; ``backward`` consumes the upstream
-gradient and overwrites the layer's parameter gradients (no accumulation).
-Gradients are of whatever scalar the caller reduces to, so the 1/batch
-factor of a mean loss is applied once at the loss layer.
+during ``forward(training=True)`` and only then, so an eval-mode forward in
+between leaves the pending backward intact; ``backward`` consumes the
+upstream gradient and overwrites the layer's parameter gradients (no
+accumulation). Gradients are of whatever scalar the caller reduces to, so
+the 1/batch factor of a mean loss is applied once at the loss layer.
+
+The conv block works channels-last: :class:`Conv1D` returns a (B, C, L)
+view of a (B, L, C) array, the layers after it keep that layout, and every
+backward of the block hands its gradient on in the layout of the forward
+input it belongs to. Mixed layouts would make each elementwise pass of the
+backward stride through memory.
 """
 
 from __future__ import annotations
@@ -69,10 +76,12 @@ class Conv1D(Layer):
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
         p, k = self.padding, self.kernel
         out_len = length + 2 * p - k + 1
-        x_pad = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
+        # channels-last padded input (B, L + 2p, C_in)
+        x_pad = np.zeros((b, length + 2 * p, c))
+        x_pad[:, p:p + length] = x.transpose(0, 2, 1)
         # im2col: (B, L_out, C_in, K) -> one matmul against the flattened kernel
-        cols = np.stack([x_pad[:, :, j:j + out_len] for j in range(k)], axis=-1)
-        cols = cols.transpose(0, 2, 1, 3).reshape(b * out_len, c * k)
+        cols = np.stack([x_pad[:, j:j + out_len] for j in range(k)], axis=-1)
+        cols = cols.reshape(b * out_len, c * k)
         out = cols @ self.weight.reshape(self.out_channels, c * k).T + self.bias
         if training:
             self._cols = cols
@@ -87,11 +96,12 @@ class Conv1D(Layer):
         self.grad_weight = (g2.T @ self._cols).reshape(self.weight.shape)
         self.grad_bias = g2.sum(axis=0)
         dcols = (g2 @ self.weight.reshape(self.out_channels, c * k))
-        dcols = dcols.reshape(b, out_len, c, k).transpose(0, 2, 1, 3)
-        dx_pad = np.zeros((b, c, length + 2 * p))
+        dcols = dcols.reshape(b, out_len, c, k)
+        # col2im, channels-last like the forward's padded input
+        dx_pad = np.zeros((b, length + 2 * p, c))
         for j in range(k):
-            dx_pad[:, :, j:j + out_len] += dcols[:, :, :, j]
-        return dx_pad[:, :, p:p + length] if p else dx_pad
+            dx_pad[:, j:j + out_len] += dcols[:, :, :, j]
+        return dx_pad[:, p:p + length].transpose(0, 2, 1)
 
     def parameters(self):
         yield "weight", self.weight, self.grad_weight
@@ -144,31 +154,40 @@ class BatchNorm(Layer):
 
     def forward(self, x, training=False):
         axes = (0, 2) if x.ndim == 3 else (0,)
-        if training:
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mu, var = self.running_mean, self.running_var
+        if not training:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = (x - self._shaped(self.running_mean, x.ndim)) * self._shaped(inv_std, x.ndim)
+            return self._shaped(self.gamma, x.ndim) * xhat + self._shaped(self.beta, x.ndim)
+        # the same operations as x.var, on the centred input this pass needs anyway
+        mu = x.mean(axis=axes)
+        xhat = x - self._shaped(mu, x.ndim)
+        out = np.square(xhat)
+        var = out.mean(axis=axes)
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - self._shaped(mu, x.ndim)) * self._shaped(inv_std, x.ndim)
-        if training:
-            count = x.shape[0] if x.ndim == 2 else x.shape[0] * x.shape[2]
-            self._cache = (xhat, inv_std, axes, count)
-        return self._shaped(self.gamma, x.ndim) * xhat + self._shaped(self.beta, x.ndim)
+        xhat *= self._shaped(inv_std, x.ndim)
+        self._cache = (xhat, inv_std, axes)
+        np.multiply(self._shaped(self.gamma, x.ndim), xhat, out=out)
+        out += self._shaped(self.beta, x.ndim)
+        return out
 
     def backward(self, grad):
         if self._cache is None:
             raise RuntimeError("BatchNorm.backward requires a training-mode forward")
-        xhat, inv_std, axes, count = self._cache
-        self.grad_gamma = (grad * xhat).sum(axis=axes)
+        xhat, inv_std, axes = self._cache
+        tmp = grad * xhat
+        self.grad_gamma = tmp.sum(axis=axes)
         self.grad_beta = grad.sum(axis=axes)
-        g = self._shaped(self.gamma, grad.ndim)
-        dxhat = grad * g
-        mean_dxhat = dxhat.mean(axis=axes, keepdims=True)
-        mean_dxhat_x = (dxhat * xhat).mean(axis=axes, keepdims=True)
-        return (dxhat - mean_dxhat - xhat * mean_dxhat_x) * self._shaped(inv_std, grad.ndim)
+        dx = grad * self._shaped(self.gamma, grad.ndim)
+        mean_dxhat = dx.mean(axis=axes, keepdims=True)
+        np.multiply(dx, xhat, out=tmp)
+        mean_dxhat_x = tmp.mean(axis=axes, keepdims=True)
+        dx -= mean_dxhat
+        np.multiply(xhat, mean_dxhat_x, out=tmp)
+        dx -= tmp
+        dx *= self._shaped(inv_std, grad.ndim)
+        return dx
 
     def parameters(self):
         yield "gamma", self.gamma, self.grad_gamma
@@ -196,18 +215,27 @@ class AvgPoolToLength(Layer):
         if target_len < 1:
             raise ValueError("target_len must be >= 1")
         self.target_len = target_len
-        self._window = None
+        self._x = None
 
     def forward(self, x, training=False):
         b, c, length = x.shape
         if length % self.target_len != 0:
             raise ValueError(f"length {length} not divisible by target {self.target_len}")
-        window = length // self.target_len
-        self._window = window
-        return x.reshape(b, c, self.target_len, window).mean(axis=-1)
+        if training:
+            self._x = x
+        return x.reshape(b, c, self.target_len, length // self.target_len).mean(axis=-1)
 
     def backward(self, grad):
-        return np.repeat(grad / self._window, self._window, axis=-1)
+        """Spread each pooled gradient over its window, in the memory layout
+        of the training input, so the layers before keep a single layout."""
+        if self._x is None:
+            raise RuntimeError("AvgPoolToLength.backward requires a training-mode forward")
+        b, c, length = self._x.shape
+        window = length // self.target_len
+        dx = np.empty_like(self._x)
+        # splitting the length axis is always a view, whatever the strides
+        dx.reshape(b, c, self.target_len, window)[...] = (grad / window)[..., None]
+        return dx
 
     def spec(self):
         return {"kind": self.kind, "target_len": self.target_len}
@@ -220,7 +248,8 @@ class Flatten(Layer):
         self._in_shape = None
 
     def forward(self, x, training=False):
-        self._in_shape = x.shape
+        if training:
+            self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
@@ -277,8 +306,10 @@ class SoftmaxHead(Layer):
     def forward(self, x, training=False):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
-        self.probs = e / e.sum(axis=1, keepdims=True)
-        return self.probs
+        probs = e / e.sum(axis=1, keepdims=True)
+        if training:
+            self.probs = probs
+        return probs
 
     def backward(self, grad):
         # generic softmax Jacobian product, for losses given as dL/dprobs

@@ -22,22 +22,23 @@ def check_param_grads(loss_fn, params, eps=EPS, rtol=RTOL, max_entries=None, rng
     already populated for the current parameter values; ``loss_fn`` re-runs
     the forward pass and returns the scalar loss. Checks every entry unless
     ``max_entries`` caps the per-array count (sampled with ``rng``).
+    Entries are perturbed by index, so a value may be a strided view.
     Returns the worst relative error seen.
     """
     worst = 0.0
     for name, value, grad in params:
-        flat_v = value.reshape(-1)
         flat_g = grad.reshape(-1)
-        idx = np.arange(flat_v.size)
-        if max_entries is not None and flat_v.size > max_entries:
-            idx = rng.choice(flat_v.size, size=max_entries, replace=False)
+        idx = np.arange(value.size)
+        if max_entries is not None and value.size > max_entries:
+            idx = rng.choice(value.size, size=max_entries, replace=False)
         for j in idx:
-            orig = flat_v[j]
-            flat_v[j] = orig + eps
+            at = np.unravel_index(j, value.shape)
+            orig = value[at]
+            value[at] = orig + eps
             up = loss_fn()
-            flat_v[j] = orig - eps
+            value[at] = orig - eps
             down = loss_fn()
-            flat_v[j] = orig
+            value[at] = orig
             numeric = (up - down) / (2 * eps)
             err = rel_err(numeric, flat_g[j])
             worst = max(worst, err)

@@ -15,6 +15,11 @@ from nearbeam.net import (
 )
 
 
+def _channels_last(rng, b, c, length):
+    """A (B, C, L) view of a (B, L, C) array: the layout Conv1D hands on."""
+    return rng.standard_normal((b, length, c)).transpose(0, 2, 1)
+
+
 def _linear_probe(layer, x, rng):
     """Check d(sum(out * R))/dtheta for every parameter and the input."""
     out = layer.forward(x, training=True)
@@ -47,6 +52,11 @@ class TestConv1D:
         x = rng.standard_normal((2, 3, 5))
         _linear_probe(conv, x, rng)
 
+    def test_gradients_channels_last(self):
+        rng = np.random.default_rng(12)
+        conv = Conv1D(3, 4, kernel=3, padding=1, rng=rng)
+        _linear_probe(conv, _channels_last(rng, 2, 3, 5), rng)
+
     def test_channel_mismatch(self):
         conv = Conv1D(3, 4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -65,6 +75,12 @@ class TestReLU:
         grad_in = relu.backward(probe)
         check_param_grads(lambda: float(np.sum(relu.forward(x, training=True) * probe)),
                           [("input", x, grad_in)])
+
+    def test_gradients_channels_last(self):
+        rng = np.random.default_rng(13)
+        x = _channels_last(rng, 2, 3, 5)
+        x[np.abs(x) < 1e-3] = 0.5  # keep entries away from the kink
+        _linear_probe(ReLU(), x, rng)
 
 
 class TestBatchNorm:
@@ -105,6 +121,14 @@ class TestBatchNorm:
         bn.momentum = 0.0
         _linear_probe(bn, x, rng)
 
+    def test_gradients_channels_last(self):
+        rng = np.random.default_rng(14)
+        bn = BatchNorm(4)
+        bn.gamma[...] = rng.uniform(0.5, 1.5, 4)
+        bn.beta[...] = rng.uniform(-0.5, 0.5, 4)
+        bn.momentum = 0.0
+        _linear_probe(bn, _channels_last(rng, 3, 4, 6) * 1.3 + 0.4, rng)
+
     def test_backward_requires_training_forward(self):
         bn = BatchNorm(2)
         bn.forward(np.zeros((3, 2)), training=False)
@@ -132,6 +156,22 @@ class TestAvgPool:
         pool = AvgPoolToLength(2)
         x = rng.standard_normal((2, 3, 8))
         _linear_probe(pool, x, rng)
+
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_backward_keeps_input_layout(self, channels_last):
+        rng = np.random.default_rng(15)
+        x = _channels_last(rng, 2, 3, 8) if channels_last else rng.standard_normal((2, 3, 8))
+        pool = AvgPoolToLength(2)
+        grad = rng.standard_normal(pool.forward(x, training=True).shape)
+        dx = pool.backward(grad)
+        assert dx.strides == x.strides
+        npt.assert_array_equal(dx, np.repeat(grad / 4, 4, axis=-1))
+
+    def test_backward_requires_training_forward(self):
+        pool = AvgPoolToLength(2)
+        pool.forward(np.zeros((1, 2, 4)), training=False)
+        with pytest.raises(RuntimeError):
+            pool.backward(np.zeros((1, 2, 2)))
 
 
 class TestFullyConnected:

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from gradcheck import check_param_grads
+from net_reference import ReferenceAdam, reference_model
 from nearbeam.net import (
     Adam,
     AvgPoolToLength,
@@ -156,6 +157,20 @@ class TestBackward:
         check_param_grads(loss, model.parameters(), max_entries=40,
                           rng=np.random.default_rng(0))
 
+    def test_interleaved_eval_forward_leaves_gradients_unchanged(self):
+        rng = np.random.default_rng(13)
+        model = tiny_model(rng, m=8, head=4, pool_target=4)
+        x = rng.standard_normal((5, 2, 8))
+        labels = np.array([0, 1, 2, 3, 1])
+        model.forward(x, training=True)
+        model.backward(labels)
+        expected = [grad.copy() for _, _, grad in model.parameters()]
+        model.forward(x, training=True)
+        model.forward(rng.standard_normal((3, 2, 8)), training=False)
+        model.backward(labels)
+        for want, (name, _, grad) in zip(expected, model.parameters()):
+            npt.assert_array_equal(grad, want, err_msg=name)
+
     def test_zero_input_zero_weights_gradient_trace(self):
         # with zero weights and zero input, only the final bias sees gradient
         model = build_model(8, 4, rng=None, conv_channels=(4, 8), fc_widths=(16, 16, 12))
@@ -244,6 +259,70 @@ class TestOptimizers:
             opt.step()
         last = cross_entropy_batch(model.forward(x, training=False), labels)
         assert last < first
+
+
+class _Params:
+    """A stand-in model: named arrays with gradients the test sets."""
+
+    def __init__(self, shapes, rng):
+        self.values = [rng.standard_normal(shape) for shape in shapes]
+        self.grads = [np.zeros(shape) for shape in shapes]
+
+    def parameters(self):
+        for i, (value, grad) in enumerate(zip(self.values, self.grads)):
+            yield f"p{i}", value, grad
+
+
+def _assert_rel_close(actual, desired, rel, name):
+    scale = np.max(np.abs(desired))
+    assert np.max(np.abs(actual - desired)) <= rel * scale, name
+
+
+class TestReferenceFormulas:
+    """The engine's training step against the formulas in net_reference."""
+
+    def test_adam_step_is_bit_identical(self):
+        block = Adam.BLOCK
+        shapes = [(block // 3,), (block,), (7, (2 * block + 123) // 7), (3, 5)]
+        rng = np.random.default_rng(14)
+        params = _Params(shapes, rng)
+        ref = _Params(shapes, np.random.default_rng(14))
+        opt, ref_opt = Adam(params, lr=0.003), ReferenceAdam(ref, lr=0.003)
+        for _ in range(4):
+            for g, rg in zip(params.grads, ref.grads):
+                g[...] = rng.standard_normal(g.shape) * 10 ** rng.uniform(-3, 3)
+                rg[...] = g
+            opt.step()
+            ref_opt.step()
+            for i, (value, want) in enumerate(zip(params.values, ref.values)):
+                npt.assert_array_equal(value, want, err_msg=f"p{i}")
+
+    def test_adam_rejects_non_contiguous_parameters(self):
+        params = _Params([(4, 6)], np.random.default_rng(15))
+        params.values[0] = params.values[0].T
+        with pytest.raises(ValueError):
+            Adam(params).step()
+
+    def test_training_steps_match_reference(self):
+        rng = np.random.default_rng(16)
+        model = build_model(16, 6, rng, conv_channels=(8, 16), fc_widths=(32, 32, 24),
+                            pool_target=4)
+        ref = reference_model(model)
+        opt, ref_opt = Adam(model, lr=0.01), ReferenceAdam(ref, lr=0.01)
+        for _ in range(3):
+            x = rng.standard_normal((10, 2, 16))
+            labels = rng.integers(0, 6, 10)
+            _assert_rel_close(model.forward(x, training=True),
+                              ref.forward(x, training=True), 1e-12, "probs")
+            model.backward(labels)
+            ref.backward(labels)
+            opt.step()
+            ref_opt.step()
+        want = ref.snapshot()
+        for name, value in model.snapshot().items():
+            _assert_rel_close(value, want[name], 1e-12, name)
+        x = rng.standard_normal((4, 2, 16))
+        _assert_rel_close(model.forward(x), ref.forward(x), 1e-12, "eval probs")
 
 
 class TestSaveLoad:
