@@ -49,8 +49,10 @@ from .measurement import (
     measure,
     measure_wide,
     sweep_oracle,
+    sweep_oracle_batch,
 )
 from .schemes import (
+    FixedProbs,
     OneHotStub,
     SchemeResult,
     UniformStub,

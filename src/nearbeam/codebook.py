@@ -23,6 +23,10 @@ from .geometry import ArrayConfig, _steering_rows
 _MAGIC = b"NBCB"
 _FORMAT_VERSION = 1
 _KIND_POLAR, _KIND_NARROW, _KIND_WIDE = 0, 1, 2
+# entries per block of the polar build: the block (16 bytes an entry) and
+# its float temporaries (8 bytes each) take about 320 KiB, inside L2; at
+# N=512, blocks of 2048 entries built about 15% slower
+_BUILD_BLOCK_ENTRIES = 8192
 
 
 class CodebookFormatError(Exception):
@@ -156,14 +160,20 @@ def build_polar_codebook(
 ) -> PolarCodebook:
     """Construct the I = N*S polar codebook on the default sampling grids.
 
-    Each ring's N codewords come from one block of steering vectors;
+    The codeword matrix is written in place, a block of rows at a time,
+    so the steering temporaries stay in cache and no ring is copied;
     ring_grid has checked that every distance is positive.
     """
-    angles = angle_grid(cfg.num_antennas)
+    n = cfg.num_antennas
+    angles = angle_grid(n)
     rings = ring_grid(num_rings, r_min, r_max, angles, angle_scaled=angle_scaled)
-    codewords = np.concatenate([
-        _steering_rows(cfg, angles[:, None], ring[:, None]) for ring in rings
-    ])
+    thetas = np.tile(angles, num_rings)[:, None]
+    dists = rings.reshape(-1, 1)
+    codewords = np.empty((num_rings * n, n), dtype=np.complex128)
+    rows = max(1, _BUILD_BLOCK_ENTRIES // n)
+    for lo in range(0, len(codewords), rows):
+        _steering_rows(cfg, thetas[lo:lo + rows], dists[lo:lo + rows],
+                       out=codewords[lo:lo + rows])
     return PolarCodebook(array=cfg, angles=angles, ring_distances=rings, codewords=codewords)
 
 

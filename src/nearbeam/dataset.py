@@ -3,6 +3,10 @@
 Every sample is regenerable from its own 64-bit seed: the per-sample RNG
 draws the paths, the training SNR, and the measurement noise in a fixed
 order, and the noiseless exhaustive sweep provides the (n*, s*) labels.
+Generation labels a chunk of samples at a time with one product of the
+polar codebook (built in place) and the chunk's channels; every label
+equals the per-sample sweep that the load spot check reruns, and only one
+chunk of channels is held at a time.
 The noise layout is part of the format: for each wide beam in order, N real
 normals and then N imaginary normals, N being the number of antennas.
 The file format is a fixed header, a JSON blob with the generating config
@@ -20,11 +24,16 @@ import numpy as np
 
 from .codebook import PolarCodebook, WideCodebook, build_polar_codebook, build_wide_codebook
 from .geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channel
-from .measurement import link_from_snr_db, measure_wide, sweep_oracle
+from .measurement import link_from_snr_db, measure_wide, sweep_oracle, sweep_oracle_batch
 
 _MAGIC = b"NBDS"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIdQQQQQI")
+# samples labelled per codebook product: generation holds this many channels
+_LABEL_CHUNK = 128
+# a regenerated measurement must match the stored one to this relative
+# precision; a file whose yw was rounded (to float32, say) fails the check
+_YW_RTOL = 1e-12
 
 
 class DatasetFormatError(Exception):
@@ -82,6 +91,17 @@ def split_sizes(num_samples: int, val_fraction: float = 0.1, test_fraction: floa
     return n_train, n_val, n_test
 
 
+def _draw_sample(seed, scenario: ScenarioConfig, array: ArrayConfig,
+                 wide: WideCodebook, snr_range_db: tuple[float, float]):
+    """Channel, measurement values and SNR of one sample, from its seed."""
+    rng = np.random.default_rng(int(seed))
+    paths = sample_paths(rng, scenario)
+    h = synth_channel(array, paths)
+    snr_db = rng.uniform(*snr_range_db)
+    meas = measure_wide(wide, h, link_from_snr_db(snr_db), rng)
+    return h, meas.values, snr_db
+
+
 def generate_sample(
     seed: int,
     scenario: ScenarioConfig,
@@ -92,13 +112,9 @@ def generate_sample(
     """Regenerate one sample from its seed. Draw order is part of the format:
     paths, then SNR, then measurement noise, which for each wide beam in
     order is N real normals followed by N imaginary normals."""
-    rng = np.random.default_rng(int(seed))
-    paths = sample_paths(rng, scenario)
-    h = synth_channel(polar.array, paths)
-    snr_db = rng.uniform(*snr_range_db)
-    meas = measure_wide(wide, h, link_from_snr_db(snr_db), rng)
+    h, values, snr_db = _draw_sample(seed, scenario, polar.array, wide, snr_range_db)
     _, s_star, n_star = sweep_oracle(polar, h)
-    return meas.values, n_star, s_star, snr_db
+    return values, n_star, s_star, snr_db
 
 
 def generate_dataset(
@@ -117,7 +133,9 @@ def generate_dataset(
     """Generate a labeled dataset of wide-beam measurements.
 
     Per-sample seeds are drawn once from a master generator, so samples are
-    independent of generation order and each one can be rebuilt in isolation.
+    independent of generation order and each one can be rebuilt in isolation
+    with :func:`generate_sample`. Labels are computed ``_LABEL_CHUNK``
+    samples at a time and equal that function's.
     """
     lo, hi = snr_range_db
     if hi < lo:
@@ -133,14 +151,17 @@ def generate_dataset(
     label_n = np.empty(num_samples, dtype=np.uint32)
     label_s = np.empty(num_samples, dtype=np.uint32)
     snr = np.empty(num_samples, dtype=np.float64)
-    for i in range(num_samples):
-        values, n_star, s_star, snr_db = generate_sample(
-            seeds[i], scenario, polar, wide, snr_range_db
-        )
-        yw[i] = values
-        label_n[i] = n_star
-        label_s[i] = s_star
-        snr[i] = snr_db
+    channels = np.empty((min(_LABEL_CHUNK, num_samples), array_cfg.num_antennas),
+                        dtype=np.complex128)
+    for start in range(0, num_samples, _LABEL_CHUNK):
+        stop = min(start + _LABEL_CHUNK, num_samples)
+        for i in range(start, stop):
+            channels[i - start], yw[i], snr[i] = _draw_sample(
+                seeds[i], scenario, array_cfg, wide, snr_range_db
+            )
+        flat = sweep_oracle_batch(polar, channels[:stop - start]) - 1
+        label_s[start:stop] = flat // polar.num_angles + 1
+        label_n[start:stop] = flat % polar.num_angles + 1
 
     config = {
         "array": {
@@ -278,7 +299,7 @@ def spot_check_labels(ds: Dataset, fraction: float = 0.01) -> int:
             ds.seeds[i], scenario, polar, wide, snr_range
         )
         if (n_star != ds.label_n[i] or s_star != ds.label_s[i]
-                or not np.allclose(values, ds.yw[i])):
+                or not np.allclose(values, ds.yw[i], rtol=_YW_RTOL, atol=0.0)):
             raise DatasetFormatError(f"sample {i} does not reproduce from its seed")
     return len(idx)
 

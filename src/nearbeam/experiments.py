@@ -27,6 +27,7 @@ from .config import FullConfig
 from .geometry import sample_paths, synth_channel
 from .measurement import achievable_rate, link_from_snr_db, measure_wide, sweep_oracle
 from .schemes import (
+    FixedProbs,
     OneHotStub,
     UniformStub,
     far_field_baseline,
@@ -153,6 +154,10 @@ def run_experiment(
                 s_model = UniformStub(polar.num_rings)
             else:
                 d_model, s_model = dir_model, dist_model
+            if needs_models:
+                # one pass of each head per trial, shared by both schemes
+                d_model = FixedProbs(d_model.predict_proba(yw.values))
+                s_model = FixedProbs(s_model.predict_proba(yw.values))
 
             for name in exp.schemes:
                 scheme_seq = np.random.SeedSequence(

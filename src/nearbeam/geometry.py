@@ -127,15 +127,31 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     return _steering_rows(cfg, theta, r)
 
 
-def _steering_rows(cfg: ArrayConfig, theta, r) -> np.ndarray:
+def _steering_rows(cfg: ArrayConfig, theta, r, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`near_steering` without the distance check. (K, 1) arrays of
     angles and positive distances give a (K, N) block whose row k equals
-    near_steering(cfg, theta[k], r[k]) bit for bit."""
+    near_steering(cfg, theta[k], r[k]) bit for bit.
+
+    The block is written into ``out`` when given (complex128, the broadcast
+    shape). Every operation is the one of the plain expression, in its
+    order, so the values do not depend on how a caller splits its rows into
+    blocks; the temporaries are the size of one block.
+    """
     offset = antenna_offsets(cfg) * cfg.antenna_spacing
-    excess = offset * offset - 2.0 * r * offset * theta  # r_n^2 - r^2
-    dist = np.sqrt(r * r + excess)
-    phase = -(2.0 * np.pi / cfg.carrier_wavelength) * (excess / (dist + r))
-    return np.exp(1j * phase) / np.sqrt(cfg.num_antennas)
+    excess = 2.0 * r * offset * theta
+    np.subtract(offset * offset, excess, out=excess)  # r_n^2 - r^2
+    # phase = -(2 pi / lambda) * excess / (sqrt(r^2 + excess) + r)
+    phase = np.add(r * r, excess)
+    np.sqrt(phase, out=phase)
+    phase += r
+    np.divide(excess, phase, out=phase)
+    phase *= -(2.0 * np.pi / cfg.carrier_wavelength)
+    if out is None:
+        out = np.empty(phase.shape, dtype=np.complex128)
+    np.multiply(1j, phase, out=out)
+    np.exp(out, out=out)
+    out /= np.sqrt(cfg.num_antennas)
+    return out
 
 
 def synth_channel(cfg: ArrayConfig, paths: list[PathParams]) -> np.ndarray:

@@ -134,3 +134,25 @@ def sweep_oracle(book: PolarCodebook, h: np.ndarray) -> tuple[int, int, int]:
     i_star = int(np.argmax(corr)) + 1
     s_star, n_star = index_to_pair(i_star, book.num_angles, book.num_rings)
     return i_star, s_star, n_star
+
+
+# A matrix product rounds each |w_i^H h| differently from the matrix-vector
+# product of sweep_oracle, by far less than this share of the strongest one.
+_NEAR_TIE = 1e-9
+
+
+def sweep_oracle_batch(book: PolarCodebook, channels: np.ndarray) -> np.ndarray:
+    """Flat 1-based :func:`sweep_oracle` indices of a (K, N) block of channels.
+
+    One matrix product labels the whole block, so the codebook is read once
+    for K channels instead of K times. A channel whose strongest codewords
+    lie within ``_NEAR_TIE`` of each other is swept again by itself, so every
+    index equals sweep_oracle's, ties included.
+    """
+    corr = np.abs(channels.conj() @ book.codewords.T)
+    best = np.argmax(corr, axis=1)
+    top = corr[np.arange(len(corr)), best]
+    near = np.count_nonzero(corr >= (top * (1.0 - _NEAR_TIE))[:, None], axis=1) > 1
+    for k in np.flatnonzero(near):
+        best[k] = sweep_oracle(book, channels[k])[0] - 1
+    return best + 1

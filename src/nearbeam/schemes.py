@@ -49,6 +49,17 @@ class OneHotStub:
         return p
 
 
+class FixedProbs:
+    """Stand-in classifier that returns probabilities computed beforehand, so
+    that schemes given the same measurement run each head only once."""
+
+    def __init__(self, probs):
+        self.probs = np.asarray(probs)
+
+    def predict_proba(self, values) -> np.ndarray:
+        return self.probs
+
+
 def _values(yw) -> np.ndarray:
     return yw.values if isinstance(yw, MeasurementVector) else np.asarray(yw)
 

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nearbeam import codebook
 from nearbeam.codebook import (
     CodebookFormatError,
     angle_grid,
@@ -106,15 +107,19 @@ class TestPolarCodebook:
         npt.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_codewords_match_steering_exactly(self):
-        # the per-ring build against one near_steering call per codeword
-        cfg = ArrayConfig(16)
-        for angle_scaled in (False, True):
-            book = build_polar_codebook(cfg, 3, 5.0, 40.0, angle_scaled=angle_scaled)
-            expected = np.stack([
-                near_steering(cfg, book.angles[n - 1], book.ring_distances[s - 1, n - 1])
-                for s in range(1, 4) for n in range(1, 17)
-            ])
-            assert np.array_equal(book.codewords, expected)
+        # the blocked in-place build against one near_steering call per
+        # codeword; 16 fits one partial block, 33 and 64 end in a remainder
+        for n, rings in [(16, 3), (33, 8), (64, 3)]:
+            block = codebook._BUILD_BLOCK_ENTRIES // n
+            assert n * rings < block or (n * rings) % block
+            cfg = ArrayConfig(n)
+            for angle_scaled in (False, True):
+                book = build_polar_codebook(cfg, rings, 5.0, 40.0, angle_scaled=angle_scaled)
+                expected = np.stack([
+                    near_steering(cfg, book.angles[k - 1], book.ring_distances[s - 1, k - 1])
+                    for s in range(1, rings + 1) for k in range(1, n + 1)
+                ])
+                assert np.array_equal(book.codewords, expected)
 
     def test_far_field_limit_matches_narrow(self):
         cfg = ArrayConfig(4)

@@ -3,11 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from beam_reference import reference_beam_tests
+from nearbeam import dataset
 from nearbeam.codebook import build_polar_codebook, build_wide_codebook, index_to_pair
 from nearbeam.dataset import (
     DatasetFormatError,
     export_labels_csv,
     generate_dataset,
+    generate_sample,
     load_dataset,
     save_dataset,
     split_sizes,
@@ -65,6 +67,20 @@ class TestGeneration:
         ds = small_dataset(num_samples=30)
         assert spot_check_labels(ds, fraction=1.0) == 30
 
+    @pytest.mark.parametrize("n,t", [(16, 4), (33, 3), (64, 4)])
+    def test_chunk_labels_equal_per_sample_sweep(self, n, t):
+        # sample counts on both sides of one and of two chunk boundaries
+        chunk = dataset._LABEL_CHUNK
+        cfg, scenario = ArrayConfig(n), ScenarioConfig()
+        polar = build_polar_codebook(cfg, 5, 10.0, 60.0)
+        wide = build_wide_codebook(cfg, t)
+        for count in (1, chunk - 1, chunk, chunk + 1, 5 * chunk // 2):
+            ds = generate_dataset(cfg, scenario, 5, 10.0, 60.0, t,
+                                  num_samples=count, base_seed=count)
+            for i, seed in enumerate(ds.seeds):
+                _, n_star, s_star, _ = generate_sample(seed, scenario, polar, wide, (0.0, 20.0))
+                assert (ds.label_n[i], ds.label_s[i]) == (n_star, s_star)
+
     def test_every_ring_appears_at_desk_scale(self):
         ds = generate_dataset(
             ArrayConfig(64), ScenarioConfig(), 5, 10.0, 60.0, 4,
@@ -77,12 +93,14 @@ class TestGeneration:
 class TestStreamCompatibility:
     def test_matches_per_sample_reference_loop(self):
         # the loop draws as the format prescribes, so equal labels, SNRs and
-        # seeds mean .nbds files written before still pass the spot check
+        # seeds mean .nbds files written before still pass the spot check;
+        # a chunk and a few samples, so the labels cross a chunk boundary
+        count = dataset._LABEL_CHUNK + 3
         cfg, scenario, rings = ArrayConfig(16), ScenarioConfig(), 3
-        ds = small_dataset(num_samples=25, seed=31, n=16, rings=rings)
+        ds = small_dataset(num_samples=count, seed=31, n=16, rings=rings)
         polar = build_polar_codebook(cfg, rings, 10.0, 60.0)
         wide = build_wide_codebook(cfg, 4)
-        seeds = np.random.default_rng(31).integers(0, 2 ** 63, size=25, dtype=np.uint64)
+        seeds = np.random.default_rng(31).integers(0, 2 ** 63, size=count, dtype=np.uint64)
         npt.assert_array_equal(ds.seeds, seeds)
         for i, seed in enumerate(seeds):
             rng = np.random.default_rng(int(seed))
@@ -122,6 +140,18 @@ class TestRoundTrip:
         path = tmp_path / "ds.nbds"
         save_dataset(path, ds)
         with pytest.raises(DatasetFormatError):
+            load_dataset(path, verify_fraction=1.0)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda yw: yw * (1.0 + 1e-9),
+        lambda yw: yw.astype(np.complex64),
+    ], ids=["relative-1e-9", "complex64"])
+    def test_inexact_measurement_caught(self, tmp_path, mangle):
+        ds = small_dataset(num_samples=20)
+        ds.yw[3] = mangle(ds.yw[3])
+        path = tmp_path / "ds.nbds"
+        save_dataset(path, ds)
+        with pytest.raises(DatasetFormatError, match="sample 3 "):
             load_dataset(path, verify_fraction=1.0)
 
     def test_truncated_file_rejected(self, tmp_path):

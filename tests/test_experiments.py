@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nearbeam.codebook import build_polar_codebook
+from nearbeam.codebook import build_polar_codebook, build_wide_codebook
 from nearbeam.config import desk_scale_config
 from nearbeam.experiments import (
     MetricsConfig,
@@ -13,7 +13,22 @@ from nearbeam.experiments import (
     write_trials_csv,
 )
 from nearbeam.geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channel
-from nearbeam.measurement import LinkConfig, sweep_oracle
+from nearbeam.measurement import LinkConfig, link_from_snr_db, measure_wide, sweep_oracle
+from nearbeam.schemes import improved_scheme, original_scheme
+
+
+class CountingHead:
+    """Deterministic stand-in head that counts its forward passes."""
+
+    def __init__(self, classes, seed):
+        self.proj = np.random.default_rng(seed).standard_normal((classes, 8))
+        self.calls = 0
+
+    def predict_proba(self, values):
+        self.calls += 1
+        x = np.concatenate([values.real, values.imag])[:8]
+        logits = self.proj[:, :len(x)] @ x
+        return np.exp(logits) / np.exp(logits).sum()
 
 
 def tiny_config(schemes=("sweep", "original", "improved", "random", "farfield")):
@@ -162,6 +177,37 @@ class TestRunExperiment:
             twin = next(r for r in resummary if key(r) == key(row))
             assert twin["g_n_mean"] == pytest.approx(row["g_n_mean"], abs=1e-15)
             assert twin["eff_rate_mean"] == pytest.approx(row["eff_rate_mean"], abs=1e-15)
+
+    def test_each_head_runs_once_per_trial(self):
+        # both schemes share one pass of each head; the records equal those
+        # of each scheme called with the heads themselves
+        cfg = tiny_config(schemes=("original", "improved"))
+        exp = cfg.experiment
+        dir_head, dist_head = CountingHead(16, 1), CountingHead(3, 2)
+        records, _ = run_experiment(cfg, master_seed=7, dir_model=dir_head,
+                                    dist_model=dist_head)
+        trials = len(exp.snr_grid_db) * exp.trials
+        assert dir_head.calls == dist_head.calls == trials
+
+        array_cfg = cfg.array_config()
+        polar = build_polar_codebook(array_cfg, cfg.array.num_rings, cfg.array.r_min,
+                                     cfg.array.r_max)
+        wide = build_wide_codebook(array_cfg, cfg.array.subarray_factor)
+        expected = []
+        for snr_idx, snr_db in enumerate(exp.snr_grid_db):
+            link = link_from_snr_db(snr_db)
+            for trial in range(exp.trials):
+                def rng(*tail):
+                    seq = np.random.SeedSequence([7, snr_idx, trial, *tail])
+                    return np.random.default_rng(seq)
+                h = synth_channel(array_cfg, sample_paths(rng(0), cfg.scenario_config()))
+                yw = measure_wide(wide, h, link, rng(1))
+                w_star = polar.codeword(sweep_oracle(polar, h)[0])
+                for res in (original_scheme(yw, dir_head, dist_head, polar),
+                            improved_scheme(yw, dir_head, dist_head, polar, h, link,
+                                            rng(2, 2), exp.top_k_angles, exp.top_l_rings)):
+                    expected.append((normalized_snr(res.codeword, w_star, h), res.beams_tested))
+        assert [(r.g_n, r.beams) for r in records] == expected
 
     def test_budget_violation_rejected(self):
         cfg = tiny_config()

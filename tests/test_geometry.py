@@ -7,6 +7,7 @@ from nearbeam.geometry import (
     ArrayConfig,
     PathParams,
     ScenarioConfig,
+    _steering_rows,
     antenna_offsets,
     element_distance,
     near_steering,
@@ -87,6 +88,26 @@ class TestNearSteering:
         b = near_steering(cfg, grid_theta, 1e6 * cfg.carrier_wavelength)
         a = narrow_codeword(cfg, 20)
         assert abs(np.vdot(b, a)) >= 0.999
+
+    def test_matches_plain_expression_bit_for_bit(self):
+        # the out= form against the plain expression it replaced; comparing
+        # bytes also catches a flipped sign of zero (odd N has a centre
+        # antenna whose phase is -0.0)
+        def plain(cfg, theta, r):
+            offset = antenna_offsets(cfg) * cfg.antenna_spacing
+            excess = offset * offset - 2.0 * r * offset * theta
+            dist = np.sqrt(r * r + excess)
+            phase = -(2.0 * np.pi / cfg.carrier_wavelength) * (excess / (dist + r))
+            return np.exp(1j * phase) / np.sqrt(cfg.num_antennas)
+
+        rng = np.random.default_rng(4)
+        for n in (16, 33, 512):
+            cfg = ArrayConfig(n)
+            thetas, dists = rng.uniform(-1, 1, 20), rng.uniform(0.5, 200, 20)
+            for theta, r in zip(thetas, dists):
+                assert near_steering(cfg, theta, r).tobytes() == plain(cfg, theta, r).tobytes()
+            block = _steering_rows(cfg, thetas[:, None], dists[:, None])
+            assert block.tobytes() == plain(cfg, thetas[:, None], dists[:, None]).tobytes()
 
     def test_phase_profile_linearizes_as_one_over_r(self):
         cfg = ArrayConfig(32)
