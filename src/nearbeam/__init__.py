@@ -36,7 +36,6 @@ from .geometry import (
     PathParams,
     ScenarioConfig,
     antenna_offsets,
-    element_distance,
     near_steering,
     sample_paths,
     synth_channel,
@@ -53,9 +52,7 @@ from .measurement import (
 )
 from .schemes import (
     FixedProbs,
-    OneHotStub,
     SchemeResult,
-    UniformStub,
     candidate_indices,
     far_field_baseline,
     improved_scheme,

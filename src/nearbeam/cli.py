@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .codebook import build_narrow_codebook, build_polar_codebook, build_wide_codebook, export_codebook
 from .config import ConfigError, FullConfig, desk_scale_config, load_config, paper_scale_config
-from .dataset import export_labels_csv, generate_dataset, load_dataset, save_dataset
+from .dataset import DatasetFormatError, export_labels_csv, generate_dataset, load_dataset, save_dataset
 from .experiments import run_experiment
-from .net import load_model, save_model
+from .net import NetModelError, load_model, save_model
 from .training import TrainConfig, evaluate_heads, train_heads
 
 DATASET_FILE = "dataset.nbds"
@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument("--models-dir", type=Path, help="directory with trained model files")
         p.add_argument("--stub", choices=["oracle", "uniform"],
-                       help="replace trained heads with stub models")
+                       help="feed the schemes fixed head probabilities instead of "
+                            "trained heads: one-hot on the sweep oracle, or uniform")
         p.set_defaults(func=func)
 
     p = sub.add_parser("export-codebook", help="write a codebook binary")
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetFormatError, NetModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,14 +46,12 @@ def ring_grid(
     r_min: float,
     r_max: float,
     angles: np.ndarray,
-    angle_scaled: bool = False,
 ) -> np.ndarray:
     """Distance-ring grid r_s^n, shape (S, N).
 
     Rings are uniform in inverse distance: ring 1 sits at r_max, ring S at
-    r_min, and 1/r_s is an arithmetic progression between them. The default
-    grid is angle-independent; ``angle_scaled`` multiplies each ring by
-    (1 - theta_n^2), an optional hook for angle-dependent ring placement.
+    r_min, and 1/r_s is an arithmetic progression between them. The grid is
+    the same at every angle.
     """
     if num_rings < 1:
         raise ValueError("num_rings must be >= 1")
@@ -63,10 +61,7 @@ def ring_grid(
         inv = np.array([1.0 / r_max])
     else:
         inv = np.linspace(1.0 / r_max, 1.0 / r_min, num_rings)
-    rings = (1.0 / inv)[:, None] * np.ones(len(angles))[None, :]
-    if angle_scaled:
-        rings = rings * (1.0 - np.asarray(angles) ** 2)[None, :]
-    return rings
+    return (1.0 / inv)[:, None] * np.ones(len(angles))[None, :]
 
 
 def codeword_index(s: int, n: int, num_angles: int, num_rings: int | None = None) -> int:
@@ -156,7 +151,6 @@ def build_polar_codebook(
     num_rings: int,
     r_min: float,
     r_max: float,
-    angle_scaled: bool = False,
 ) -> PolarCodebook:
     """Construct the I = N*S polar codebook on the default sampling grids.
 
@@ -166,7 +160,7 @@ def build_polar_codebook(
     """
     n = cfg.num_antennas
     angles = angle_grid(n)
-    rings = ring_grid(num_rings, r_min, r_max, angles, angle_scaled=angle_scaled)
+    rings = ring_grid(num_rings, r_min, r_max, angles)
     thetas = np.tile(angles, num_rings)[:, None]
     dists = rings.reshape(-1, 1)
     codewords = np.empty((num_rings * n, n), dtype=np.complex128)
@@ -198,7 +192,7 @@ def wide_codeword(cfg: ArrayConfig, m: int, subarray_factor: int) -> np.ndarray:
     num_wide = n_ant // t
     if not 1 <= m <= num_wide:
         raise ValueError(f"wide beam index {m} out of range 1..{num_wide}")
-    theta = -1.0 + (2.0 * m - 1.0) / num_wide
+    theta = angle_grid(num_wide)[m - 1]
     w = np.zeros(n_ant, dtype=np.complex128)
     k = np.arange(n_ant // t)
     w[: n_ant // t] = np.exp(1j * np.pi * k * theta) * np.sqrt(t / n_ant)
@@ -217,8 +211,7 @@ def build_wide_codebook(cfg: ArrayConfig, subarray_factor: int) -> WideCodebook:
             f"subarray factor {subarray_factor} must divide num_antennas {cfg.num_antennas}"
         )
     num_wide = cfg.num_antennas // subarray_factor
-    m = np.arange(1, num_wide + 1, dtype=np.float64)
-    angles = -1.0 + (2.0 * m - 1.0) / num_wide
+    angles = angle_grid(num_wide)
     words = np.stack(
         [wide_codeword(cfg, mm, subarray_factor) for mm in range(1, num_wide + 1)]
     )
@@ -301,10 +294,6 @@ def import_codebook(path) -> PolarCodebook | NarrowCodebook | WideCodebook:
             )
         if kind == _KIND_NARROW:
             return NarrowCodebook(array=cfg, angles=angle_grid(n_ant), codewords=words)
-        m = np.arange(1, aux1 + 1, dtype=np.float64)
         return WideCodebook(
-            array=cfg,
-            subarray_factor=aux2,
-            angles=-1.0 + (2.0 * m - 1.0) / aux1,
-            codewords=words,
+            array=cfg, subarray_factor=aux2, angles=angle_grid(aux1), codewords=words
         )

@@ -234,8 +234,9 @@ def save_dataset(path, ds: Dataset) -> None:
 
 
 def load_dataset(path, verify_fraction: float = 0.01) -> Dataset:
-    """Read a dataset file; spot-checks a fraction of labels against the
-    exhaustive sweep recomputed from the stored per-sample seeds."""
+    """Read a dataset file; checks every record's values, then spot-checks a
+    fraction of labels against the exhaustive sweep recomputed from the
+    stored per-sample seeds."""
     with open(path, "rb") as f:
         raw = f.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -268,9 +269,26 @@ def load_dataset(path, verify_fraction: float = 0.01) -> Dataset:
         seeds=records["seed"].copy(),
         config=config,
     )
+    _check_records(ds)
     if verify_fraction > 0:
         spot_check_labels(ds, fraction=verify_fraction)
     return ds
+
+
+def _check_records(ds: Dataset) -> None:
+    """Reject a dataset whose records hold impossible values: labels outside
+    1..N or 1..S, a non-finite measurement, or an SNR outside the stored
+    generation range. Every record is checked, not only the spot-checked ones."""
+    lo, hi = ds.config["snr_range_db"]
+    snr = ds.snr_db
+    for what, bad in (
+        (f"label_n outside 1..{ds.num_angles}", (ds.label_n < 1) | (ds.label_n > ds.num_angles)),
+        (f"label_s outside 1..{ds.num_rings}", (ds.label_s < 1) | (ds.label_s > ds.num_rings)),
+        ("non-finite yw", ~np.isfinite(ds.yw).all(axis=1)),
+        (f"SNR outside [{lo}, {hi}] dB", ~np.isfinite(snr) | (snr < lo) | (snr > hi)),
+    ):
+        if bad.any():
+            raise DatasetFormatError(f"sample {int(np.argmax(bad))}: {what}")
 
 
 def spot_check_labels(ds: Dataset, fraction: float = 0.01) -> int:

@@ -28,8 +28,6 @@ from .geometry import sample_paths, synth_channel
 from .measurement import achievable_rate, link_from_snr_db, measure_wide, sweep_oracle
 from .schemes import (
     FixedProbs,
-    OneHotStub,
-    UniformStub,
     far_field_baseline,
     improved_scheme,
     original_scheme,
@@ -146,18 +144,18 @@ def run_experiment(
                 np.random.SeedSequence([master_seed, snr_idx, trial, 1])
             )
             yw = measure_wide(wide, h, link, meas_rng)
+            # the heads' probabilities for this trial, handed to the schemes
+            # through FixedProbs: a stub's fixed vectors, or one pass of each
+            # trained head shared by both schemes
             if stub == "oracle":
-                d_model = OneHotStub(polar.num_angles, n_star)
-                s_model = OneHotStub(polar.num_rings, s_star)
+                p_angle, p_ring = np.zeros(polar.num_angles), np.zeros(polar.num_rings)
+                p_angle[n_star - 1] = p_ring[s_star - 1] = 1.0
             elif stub == "uniform":
-                d_model = UniformStub(polar.num_angles)
-                s_model = UniformStub(polar.num_rings)
-            else:
-                d_model, s_model = dir_model, dist_model
-            if needs_models:
-                # one pass of each head per trial, shared by both schemes
-                d_model = FixedProbs(d_model.predict_proba(yw.values))
-                s_model = FixedProbs(s_model.predict_proba(yw.values))
+                p_angle = np.full(polar.num_angles, 1.0 / polar.num_angles)
+                p_ring = np.full(polar.num_rings, 1.0 / polar.num_rings)
+            elif needs_models:
+                p_angle = dir_model.predict_proba(yw.values)
+                p_ring = dist_model.predict_proba(yw.values)
 
             for name in exp.schemes:
                 scheme_seq = np.random.SeedSequence(
@@ -167,10 +165,10 @@ def run_experiment(
                 if name == "sweep":
                     result = sweep_scheme(polar, h)
                 elif name == "original":
-                    result = original_scheme(yw, d_model, s_model, polar)
+                    result = original_scheme(yw, FixedProbs(p_angle), FixedProbs(p_ring), polar)
                 elif name == "improved":
                     result = improved_scheme(
-                        yw, d_model, s_model, polar, h, link, scheme_rng,
+                        yw, FixedProbs(p_angle), FixedProbs(p_ring), polar, h, link, scheme_rng,
                         exp.top_k_angles, exp.top_l_rings,
                     )
                 elif name == "random":

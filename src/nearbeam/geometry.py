@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,27 +91,6 @@ def antenna_offsets(cfg: ArrayConfig) -> np.ndarray:
     """Per-antenna offsets from the array center, in units of spacings."""
     n = cfg.num_antennas
     return np.arange(n, dtype=np.float64) - (n - 1) / 2.0
-
-
-def element_distance(cfg: ArrayConfig, r: float, theta: float, n=None) -> np.ndarray | float:
-    """Exact distance from antenna(s) ``n`` to the point at polar (r, theta).
-
-    ``theta`` is the sine of the physical angle. With the source at
-    (r*theta, r*sqrt(1-theta^2)) and antenna n at (delta_n*d, 0) this is the
-    plain Euclidean law of cosines; no Fresnel approximation is applied.
-
-    Args:
-        n: antenna index (0-based), array of indices, or None for all antennas.
-    """
-    if r <= 0:
-        raise ValueError(f"distance must be positive, got {r}")
-    if n is None:
-        delta = antenna_offsets(cfg)
-    else:
-        delta = np.asarray(n, dtype=np.float64) - (cfg.num_antennas - 1) / 2.0
-    offset = delta * cfg.antenna_spacing
-    dist = np.sqrt(r * r + offset * offset - 2.0 * r * offset * theta)
-    return dist if dist.ndim else float(dist)
 
 
 def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:

@@ -97,31 +97,6 @@ def achievable_rate(w: np.ndarray, h: np.ndarray, link: LinkConfig) -> float:
     return float(np.log2(1.0 + link.transmit_power * gain / link.noise_variance))
 
 
-# OpenBLAS splits a complex matrix-vector product of _BLAS_SPLIT_ENTRIES
-# entries or more over its threads. For codebooks under _SPLIT_PAYS_FROM
-# entries two threads are no faster than one (about 10 us either way at
-# 320 x 64), and while another process holds the second core every split
-# waits for the helper thread to be scheduled: desk-scale generation ran 3x
-# slower with one core busy. Such codebooks are swept in row blocks under the
-# split size, each on the calling thread. Each product row is the same dot
-# product whatever the blocking, so the result is bit-identical.
-_BLAS_SPLIT_ENTRIES = 4096
-_SPLIT_PAYS_FROM = 1 << 16
-
-
-def _codebook_times(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w @ x for a (K, N) codeword matrix, kept on one thread when w is small."""
-    k, n = w.shape
-    rows = (_BLAS_SPLIT_ENTRIES - 1) // n
-    if w.size >= _SPLIT_PAYS_FROM or rows < 1:
-        return w @ x
-    out = np.empty(k, dtype=np.result_type(w, x))
-    whole = k - k % rows
-    np.matmul(w[:whole].reshape(-1, rows, n), x, out=out[:whole].reshape(-1, rows))
-    out[whole:] = w[whole:] @ x
-    return out
-
-
 def sweep_oracle(book: PolarCodebook, h: np.ndarray) -> tuple[int, int, int]:
     """Noiseless exhaustive sweep: (i*, s*, n*) maximizing |w_i^H h|.
 
@@ -130,7 +105,7 @@ def sweep_oracle(book: PolarCodebook, h: np.ndarray) -> tuple[int, int, int]:
     """
     # conj(W) h = conj(W conj(h)): conjugating the N-vector spares a copy of
     # the codebook and leaves every magnitude bit-identical
-    corr = np.abs(_codebook_times(book.codewords, h.conj()))
+    corr = np.abs(book.codewords @ h.conj())
     i_star = int(np.argmax(corr)) + 1
     s_star, n_star = index_to_pair(i_star, book.num_angles, book.num_rings)
     return i_star, s_star, n_star

@@ -14,11 +14,9 @@ from .layers import (
 from .model import (
     NetworkModel,
     build_model,
-    cross_entropy,
     cross_entropy_batch,
     default_layers,
     encode_batch,
-    input_encode,
     model_from_specs,
 )
 from .optim import SGD, Adam, make_optimizer
@@ -27,8 +25,8 @@ from .serialize import NetModelError, load_model, save_model
 __all__ = [
     "AvgPoolToLength", "BatchNorm", "Conv1D", "Flatten", "FullyConnected",
     "Layer", "ReLU", "SoftmaxHead", "layer_from_spec",
-    "NetworkModel", "build_model", "cross_entropy", "cross_entropy_batch",
-    "default_layers", "encode_batch", "input_encode", "model_from_specs",
+    "NetworkModel", "build_model", "cross_entropy_batch",
+    "default_layers", "encode_batch", "model_from_specs",
     "SGD", "Adam", "make_optimizer",
     "NetModelError", "load_model", "save_model",
 ]

@@ -295,7 +295,8 @@ class FullyConnected(Layer):
 
 
 class SoftmaxHead(Layer):
-    """Softmax over the last axis; pairs with the base-10 cross-entropy loss."""
+    """Softmax over the last axis. Its one backward pass is that of the
+    base-10 cross-entropy loss, :meth:`backward_cross_entropy`."""
 
     kind = "softmax"
 
@@ -310,11 +311,6 @@ class SoftmaxHead(Layer):
         if training:
             self.probs = probs
         return probs
-
-    def backward(self, grad):
-        # generic softmax Jacobian product, for losses given as dL/dprobs
-        dot = (grad * self.probs).sum(axis=1, keepdims=True)
-        return self.probs * (grad - dot)
 
     def backward_cross_entropy(self, labels: np.ndarray) -> np.ndarray:
         """Gradient of the mean base-10 cross entropy w.r.t. the logits."""

@@ -40,36 +40,21 @@ from .layers import (
 PROB_FLOOR = 1e-12
 
 
-def input_encode(values: np.ndarray) -> np.ndarray:
-    """Encode one measurement vector as a standardized (2, M) real tensor.
-
-    Channel 0 is the real part, channel 1 the imaginary part; the 2M reals
-    are standardized jointly (zero mean, unit std, std floored at 1e-8).
-    """
-    v = np.asarray(values)
-    x = np.stack([v.real, v.imag]).astype(np.float64)
-    return (x - x.mean()) / max(x.std(), 1e-8)
-
-
 def encode_batch(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`input_encode` for a (B, M) complex matrix -> (B, 2, M)."""
-    v = np.asarray(values)
-    x = np.stack([v.real, v.imag], axis=1).astype(np.float64)
-    flat = x.reshape(len(v), -1)
-    mean = flat.mean(axis=1)[:, None, None]
-    std = np.maximum(flat.std(axis=1), 1e-8)[:, None, None]
-    return (x - mean) / std
+    """Encode a (B, M) complex matrix as standardized (B, 2, M) real tensors.
 
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Base-10 cross entropy -log10(p[label]) for one probability vector.
-
-    ``label`` is a 0-based class index; the probability is floored at 1e-12
-    before the log purely for numerical safety.
+    Channel 0 is the real part, channel 1 the imaginary part; each row's 2M
+    reals are standardized jointly (zero mean, unit std, std floored at
+    1e-8). Both moments are taken before the stacked copy is normalized in
+    place; a std taken after the subtraction differs in the last bits.
     """
-    if not 0 <= label < len(probs):
-        raise ValueError(f"label {label} out of range for {len(probs)} classes")
-    return float(-np.log10(max(probs[label], PROB_FLOOR)))
+    v = np.asarray(values)
+    x = np.stack([v.real, v.imag], axis=1).astype(np.float64, copy=False)
+    mean = x.mean(axis=(1, 2), keepdims=True)
+    std = np.maximum(x.std(axis=(1, 2), keepdims=True), 1e-8)
+    x -= mean
+    x /= std
+    return x
 
 
 def cross_entropy_batch(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -117,8 +102,7 @@ class NetworkModel:
 
     def predict_proba(self, values: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities for one complex measurement vector."""
-        x = input_encode(values)[None]
-        return self.forward(x, training=False)[0]
+        return self.predict_proba_batch(np.asarray(values)[None])[0]
 
     def predict_proba_batch(self, values: np.ndarray) -> np.ndarray:
         return self.forward(encode_batch(values), training=False)
@@ -137,15 +121,6 @@ class NetworkModel:
                 yield f"layer{idx}.{name}", value
             for name, value in layer.state_arrays():
                 yield f"layer{idx}.{name}", value
-
-    def clone_parameters(self) -> list[np.ndarray]:
-        """Copies of the trainable arrays only, in :meth:`parameters` order.
-
-        This is not a full checkpoint: it leaves out the BatchNorm running
-        statistics that eval mode normalizes with. Use :meth:`snapshot` to
-        capture a model that can be put back as it was.
-        """
-        return [value.copy() for _, value, _ in self.parameters()]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of every persistent array, keyed by qualified name."""

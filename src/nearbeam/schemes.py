@@ -24,34 +24,10 @@ class SchemeResult:
     aux: dict = field(default_factory=dict)
 
 
-class UniformStub:
-    """Stand-in classifier that spreads probability evenly; for smoke runs."""
-
-    def __init__(self, classes: int):
-        self.classes = classes
-
-    def predict_proba(self, values) -> np.ndarray:
-        return np.full(self.classes, 1.0 / self.classes)
-
-
-class OneHotStub:
-    """Stand-in classifier pinned to one class (1-based); for oracle runs."""
-
-    def __init__(self, classes: int, index: int):
-        if not 1 <= index <= classes:
-            raise ValueError(f"index {index} out of range 1..{classes}")
-        self.classes = classes
-        self.index = index
-
-    def predict_proba(self, values) -> np.ndarray:
-        p = np.zeros(self.classes)
-        p[self.index - 1] = 1.0
-        return p
-
-
 class FixedProbs:
-    """Stand-in classifier that returns probabilities computed beforehand, so
-    that schemes given the same measurement run each head only once."""
+    """Stand-in classifier that returns probabilities computed beforehand:
+    a head's output, so that schemes given the same measurement run each
+    head only once, or the one-hot or uniform vector of a stub run."""
 
     def __init__(self, probs):
         self.probs = np.asarray(probs)

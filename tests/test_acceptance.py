@@ -22,7 +22,7 @@ from nearbeam.net import (
     cross_entropy_batch,
     save_model,
 )
-from nearbeam.schemes import UniformStub, improved_scheme, original_scheme
+from nearbeam.schemes import FixedProbs, improved_scheme, original_scheme
 from nearbeam.training import TrainConfig, evaluate_heads, train_heads
 
 DESK_SEED = 12345
@@ -101,7 +101,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     scenario = ScenarioConfig()
     book = build_polar_codebook(cfg, 5, 10.0, 60.0)
     rng = np.random.default_rng(1)
-    dir_stub, dist_stub = UniformStub(32), UniformStub(5)
+    dir_stub, dist_stub = FixedProbs(np.full(32, 1 / 32)), FixedProbs(np.full(5, 1 / 5))
     yw = np.zeros(8, dtype=complex)
     agree = 0
     trials = 1000

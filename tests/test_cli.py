@@ -55,6 +55,27 @@ class TestArgumentHandling:
         assert code != 0
         assert "train.turbo" in capsys.readouterr().err
 
+    def test_truncated_dataset_is_an_error_message(self, tiny_cfg, tmp_path, capsys):
+        args = ["--config", str(tiny_cfg), "--out-dir", str(tmp_path)]
+        assert main(["gen-dataset", *args]) == 0
+        path = tmp_path / "dataset.nbds"
+        path.write_bytes(path.read_bytes()[:-30])
+        capsys.readouterr()
+        assert main(["train", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated record block" in err
+        assert "Traceback" not in err
+
+    def test_corrupt_model_is_an_error_message(self, tiny_cfg, tmp_path, capsys):
+        args = ["--config", str(tiny_cfg), "--out-dir", str(tmp_path)]
+        assert main(["gen-dataset", *args]) == 0
+        (tmp_path / "direction_model.nbnm").write_bytes(b"NBNM" + bytes(64))
+        (tmp_path / "distance_model.nbnm").write_bytes(b"NBNM" + bytes(64))
+        capsys.readouterr()
+        assert main(["eval-heads", *args, "--models-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checksum mismatch" in err
+
 
 class TestPipeline:
     def test_full_tiny_pipeline(self, tiny_cfg, tmp_path, capsys):

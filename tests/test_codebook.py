@@ -49,13 +49,8 @@ class TestRingGrid:
         npt.assert_allclose(np.diff(inv), np.diff(inv)[0], atol=1e-12)
         npt.assert_allclose(rings[:, 0], [60.0, 80.0 / 3.0, 120.0 / 7.0, 240.0 / 19.0, 10.0],
                             rtol=1e-12)
-        # angle-independent by default
+        # the same rings at every angle
         assert np.all(rings == rings[:, :1])
-
-    def test_angle_scaled_hook(self):
-        angles = angle_grid(4)
-        rings = ring_grid(3, 10.0, 60.0, angles, angle_scaled=True)
-        npt.assert_allclose(rings, rings[:, :1] / (1 - angles[:1] ** 2) * (1 - angles**2))
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
@@ -113,13 +108,12 @@ class TestPolarCodebook:
             block = codebook._BUILD_BLOCK_ENTRIES // n
             assert n * rings < block or (n * rings) % block
             cfg = ArrayConfig(n)
-            for angle_scaled in (False, True):
-                book = build_polar_codebook(cfg, rings, 5.0, 40.0, angle_scaled=angle_scaled)
-                expected = np.stack([
-                    near_steering(cfg, book.angles[k - 1], book.ring_distances[s - 1, k - 1])
-                    for s in range(1, rings + 1) for k in range(1, n + 1)
-                ])
-                assert np.array_equal(book.codewords, expected)
+            book = build_polar_codebook(cfg, rings, 5.0, 40.0)
+            expected = np.stack([
+                near_steering(cfg, book.angles[k - 1], book.ring_distances[s - 1, k - 1])
+                for s in range(1, rings + 1) for k in range(1, n + 1)
+            ])
+            assert np.array_equal(book.codewords, expected)
 
     def test_far_field_limit_matches_narrow(self):
         cfg = ArrayConfig(4)

@@ -154,6 +154,28 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError, match="sample 3 "):
             load_dataset(path, verify_fraction=1.0)
 
+    @pytest.mark.parametrize("field,at,value,what", [
+        ("label_n", 50, 0, "label_n"),
+        ("label_n", 50, 17, "label_n"),
+        ("label_s", 50, 0, "label_s"),
+        ("label_s", 50, 999, "label_s"),
+        ("yw", (50, 2), complex(np.nan, 0.0), "non-finite yw"),
+        ("yw", (50, 3), complex(0.0, np.inf), "non-finite yw"),
+        ("snr_db", 50, -1e9, "SNR"),
+        ("snr_db", 50, 20.5, "SNR"),
+        ("snr_db", 50, np.nan, "SNR"),
+        ("snr_db", 50, np.inf, "SNR"),
+    ])
+    def test_impossible_value_outside_spot_check_caught(self, tmp_path, field, at, value, what):
+        # the 1% spot check of 400 samples regenerates 0, 133, 266 and 399
+        # only; sample 50 is caught by the check of every record
+        ds = small_dataset(num_samples=400, n=16, rings=3)
+        getattr(ds, field)[at] = value
+        path = tmp_path / "ds.nbds"
+        save_dataset(path, ds)
+        with pytest.raises(DatasetFormatError, match=f"sample 50: {what}"):
+            load_dataset(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "ds.nbds"
         save_dataset(path, small_dataset(num_samples=20))

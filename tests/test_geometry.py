@@ -9,7 +9,6 @@ from nearbeam.geometry import (
     ScenarioConfig,
     _steering_rows,
     antenna_offsets,
-    element_distance,
     near_steering,
     sample_paths,
     synth_channel,
@@ -30,44 +29,62 @@ class TestAntennaOffsets:
 
 
 class TestElementDistance:
+    """The exact per-antenna distance r_n, as near_steering's phases carry it:
+    entry n is exp(-j*2*pi/lambda*(r_n - r)) / sqrt(N)."""
+
     def test_center_antenna_returns_r(self):
         cfg = ArrayConfig(5)  # odd N: antenna 2 sits on the reference point
         for r, theta in [(1.0, 0.0), (12.3, 0.7), (500.0, -0.99)]:
-            assert element_distance(cfg, r, theta, n=2) == pytest.approx(r, abs=1e-12)
+            b = near_steering(cfg, theta, r)
+            assert b[2] * np.sqrt(5) == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_arithmetic(self):
         # offset 0.5 spacings of 5 mm -> delta*d = 0.0025 m, broadside at 10 m
         cfg = ArrayConfig(2, carrier_wavelength=0.01)
-        d = element_distance(cfg, 10.0, 0.0, n=1)
-        assert d == pytest.approx(np.sqrt(100.0 + 6.25e-6), rel=1e-15)
+        excess = np.sqrt(100.0 + 6.25e-6) - 10.0
+        expected = np.exp(-2j * np.pi / 0.01 * excess) / np.sqrt(2)
+        npt.assert_allclose(near_steering(cfg, 0.0, 10.0)[1], expected, rtol=1e-9)
 
     def test_far_field_first_order(self):
-        # dist - r -> -delta*d*theta with error bounded by (delta*d)^2 / r,
-        # plus a few ulps of r for the floating-point subtraction itself
+        # r_n - r -> -delta*d*theta with error bounded by (delta*d)^2 / r, so
+        # the phase tends to 2*pi/lambda*delta*d*theta within 2*pi/lambda times that
         cfg = ArrayConfig(64, carrier_wavelength=0.01)
-        delta = antenna_offsets(cfg)
+        offset = antenna_offsets(cfg) * cfg.antenna_spacing
         theta = 0.43
+        k = 2.0 * np.pi / cfg.carrier_wavelength
         for r in (1e3, 1e4, 1e5):
-            dist = element_distance(cfg, r, theta)
-            err = np.abs((dist - r) - (-delta * cfg.antenna_spacing * theta))
-            bound = (delta * cfg.antenna_spacing) ** 2 / r + 8 * np.finfo(float).eps * r
-            assert np.all(err <= bound)
+            b = near_steering(cfg, theta, r) * np.sqrt(64)
+            err = np.abs(b - np.exp(1j * k * offset * theta))
+            assert np.all(err <= k * offset**2 / r + 1e-12)
 
     def test_mirror_symmetry(self):
-        # flipping theta and the antenna offset together leaves the distance unchanged
+        # flipping theta and the antenna offset together leaves r_n unchanged
         cfg = ArrayConfig(8)
         rng = np.random.default_rng(7)
         for _ in range(50):
             r = rng.uniform(1, 100)
             theta = rng.uniform(-0.99, 0.99)
-            n = rng.integers(0, 8)
-            a = element_distance(cfg, r, theta, n=int(n))
-            b = element_distance(cfg, r, -theta, n=int(7 - n))
-            assert a == pytest.approx(b, rel=1e-14)
+            npt.assert_allclose(near_steering(cfg, theta, r),
+                                near_steering(cfg, -theta, r)[::-1], rtol=1e-14)
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            element_distance(ArrayConfig(4), 0.0, 0.1, n=0)
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                near_steering(ArrayConfig(4), 0.1, r)
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    def test_phases_match_law_of_cosines(self, n):
+        # independent reference: the source at (r*theta, r*sqrt(1-theta^2)),
+        # antenna n at (delta_n*d, 0), r_n their Euclidean distance
+        cfg = ArrayConfig(n)
+        x = (np.arange(n) - (n - 1) / 2.0) * cfg.antenna_spacing
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            r = rng.uniform(3.0, 60.0)
+            theta = rng.uniform(-0.99, 0.99)
+            r_n = np.hypot(r * theta - x, r * np.sqrt(1.0 - theta**2))
+            expected = np.exp(-2j * np.pi / cfg.carrier_wavelength * (r_n - r)) / np.sqrt(n)
+            npt.assert_allclose(near_steering(cfg, theta, r), expected, rtol=1e-9, atol=0)
 
 
 class TestNearSteering:

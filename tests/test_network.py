@@ -16,10 +16,8 @@ from nearbeam.net import (
     SGD,
     SoftmaxHead,
     build_model,
-    cross_entropy,
     cross_entropy_batch,
     encode_batch,
-    input_encode,
     load_model,
     save_model,
 )
@@ -34,47 +32,63 @@ def tiny_model(rng, m=8, head=4, pool_target=1):
 
 class TestInputEncode:
     def test_real_imag_channels(self):
-        x = input_encode(np.array([1 + 2j]))
+        x = encode_batch(np.array([[1 + 2j]]))
         # standardization maps [1, 2] to [-1, 1]
-        npt.assert_allclose(x, [[-1.0], [1.0]])
+        npt.assert_allclose(x, [[[-1.0], [1.0]]])
 
     def test_constant_input_hits_std_floor(self):
-        x = input_encode(np.array([3 + 3j, 3 + 3j]))
+        x = encode_batch(np.array([[3 + 3j, 3 + 3j]]))
         npt.assert_array_equal(x, 0.0)
 
     def test_standardized_moments(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32) + (2 - 1j)
-        x = input_encode(v)
+        x = encode_batch(v[None])
+        assert x.shape == (1, 2, 32)
         assert abs(x.mean()) < 1e-9
         assert abs(x.std() - 1.0) < 1e-9
 
     def test_batch_matches_single(self):
+        # each row is standardized by itself, bit for bit as the plain
+        # one-vector expression, whatever the batch around it; a training
+        # batch is 125 rows
         rng = np.random.default_rng(1)
-        v = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        v = rng.standard_normal((125, 16)) + 1j * rng.standard_normal((125, 16))
+        v *= 10 ** rng.uniform(-3, 3, (125, 1))
         batch = encode_batch(v)
-        for i in range(5):
-            npt.assert_allclose(batch[i], input_encode(v[i]), atol=1e-12)
+        for i in range(125):
+            x = np.stack([v[i].real, v[i].imag])
+            plain = (x - x.mean()) / max(x.std(), 1e-8)
+            assert batch[i].tobytes() == plain.tobytes()
+            assert batch[i].tobytes() == encode_batch(v[i:i + 1])[0].tobytes()
+
+    def test_input_left_untouched(self):
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        kept = v.copy()
+        encode_batch(v)
+        encode_batch(v.real)
+        assert v.tobytes() == kept.tobytes()
 
 
 class TestCrossEntropy:
     def test_uniform_512(self):
-        p = np.full(512, 1 / 512)
-        assert cross_entropy(p, 7) == pytest.approx(np.log10(512))
-        assert cross_entropy(p, 7) == pytest.approx(2.70927, abs=1e-5)
+        p = np.full((1, 512), 1 / 512)
+        assert cross_entropy_batch(p, np.array([7])) == pytest.approx(np.log10(512))
+        assert cross_entropy_batch(p, np.array([7])) == pytest.approx(2.70927, abs=1e-5)
 
     def test_point_masses(self):
-        p = np.zeros(4)
-        p[2] = 1.0
-        assert cross_entropy(p, 2) == 0.0
-        assert cross_entropy(np.array([0.9, 0.1]), 1) == pytest.approx(1.0)
+        p = np.zeros((1, 4))
+        p[0, 2] = 1.0
+        assert cross_entropy_batch(p, np.array([2])) == 0.0
+        assert cross_entropy_batch(np.array([[0.9, 0.1]]), np.array([1])) == pytest.approx(1.0)
 
     def test_floor_applies(self):
-        assert cross_entropy(np.array([1.0, 0.0]), 1) == pytest.approx(12.0)
+        assert cross_entropy_batch(np.array([[1.0, 0.0]]), np.array([1])) == pytest.approx(12.0)
 
     def test_label_range_checked(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([1.0]), 1)
+        with pytest.raises(IndexError):
+            cross_entropy_batch(np.array([[1.0]]), np.array([1]))
 
     def test_batch_mean(self):
         probs = np.array([[0.5, 0.5], [0.1, 0.9]])
@@ -119,6 +133,22 @@ class TestForward:
             model.forward(np.zeros((2, 2, 9)))
         with pytest.raises(ValueError):
             model.forward(np.zeros((2, 3, 8)))
+
+    def test_predict_proba_is_a_batch_of_one(self):
+        # a desk-shaped direction head (M=16 beams in, 64 angles out, default
+        # widths), trained a few Adam steps so its weights and BatchNorm
+        # running statistics are not at their initial values
+        rng = np.random.default_rng(6)
+        model = build_model(16, 64, rng, pool_target=4)
+        opt = Adam(model, lr=1e-3)
+        for _ in range(3):
+            values = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+            model.forward(encode_batch(values), training=True)
+            model.backward(rng.integers(0, 64, 32))
+            opt.step()
+        for v in rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16)):
+            assert (model.predict_proba(v).tobytes()
+                    == model.predict_proba_batch(v[None])[0].tobytes())
 
 
 class TestBackward:
@@ -212,37 +242,37 @@ class TestOptimizers:
     def test_zero_gradient_no_change(self):
         rng = np.random.default_rng(9)
         model = tiny_model(rng)
-        before = model.clone_parameters()
+        before = model.snapshot()
         for _, _, grad in model.parameters():
             grad[...] = 0.0
         Adam(model, lr=0.01).step()
-        for prev, (_, value, _) in zip(before, model.parameters()):
-            npt.assert_array_equal(prev, value)
+        for name, value, _ in model.parameters():
+            npt.assert_array_equal(before[name], value)
 
     def test_adam_first_step_is_signed_lr(self):
         rng = np.random.default_rng(10)
         model = tiny_model(rng)
-        before = model.clone_parameters()
+        before = model.snapshot()
         for _, _, grad in model.parameters():
             grad[...] = rng.standard_normal(grad.shape) * 10 ** rng.uniform(-3, 3)
         opt = Adam(model, lr=0.01)
         opt.step()
         # closed form: the first Adam step is exactly -lr * g / (|g| + eps),
         # i.e. -lr*sign(g) up to the eps regularizer
-        for prev, (_, value, grad) in zip(before, model.parameters()):
-            step = value - prev
+        for name, value, grad in model.parameters():
+            step = value - before[name]
             npt.assert_allclose(step, -0.01 * grad / (np.abs(grad) + 1e-8), rtol=1e-12)
             npt.assert_allclose(step, -0.01 * np.sign(grad), atol=1e-4)
 
     def test_sgd_step(self):
         rng = np.random.default_rng(11)
         model = tiny_model(rng)
-        before = model.clone_parameters()
+        before = model.snapshot()
         for _, _, grad in model.parameters():
             grad[...] = 1.0
         SGD(model, lr=0.1).step()
-        for prev, (_, value, _) in zip(before, model.parameters()):
-            npt.assert_allclose(value, prev - 0.1, atol=1e-12)
+        for name, value, _ in model.parameters():
+            npt.assert_allclose(value, before[name] - 0.1, atol=1e-12)
 
     def test_overfits_fixed_tiny_batch(self):
         rng = np.random.default_rng(12)

@@ -6,8 +6,7 @@ from nearbeam.codebook import build_narrow_codebook, build_polar_codebook
 from nearbeam.geometry import ArrayConfig, PathParams, ScenarioConfig, sample_paths, synth_channel
 from nearbeam.measurement import LinkConfig, link_from_snr_db, measure_wide, sweep_oracle
 from nearbeam.schemes import (
-    OneHotStub,
-    UniformStub,
+    FixedProbs,
     candidate_indices,
     far_field_baseline,
     improved_scheme,
@@ -18,6 +17,17 @@ from nearbeam.schemes import (
 )
 
 NOISELESS = LinkConfig(transmit_power=1.0, noise_variance=0.0)
+
+
+def one_hot(classes, index):
+    """A head pinned to class ``index`` (1-based)."""
+    p = np.zeros(classes)
+    p[index - 1] = 1.0
+    return FixedProbs(p)
+
+
+def uniform(classes):
+    return FixedProbs(np.full(classes, 1.0 / classes))
 
 
 class RandomProbStub:
@@ -76,14 +86,14 @@ class TestOriginalScheme:
     def test_stub_one_hot_example(self):
         book = build_polar_codebook(ArrayConfig(16), 3, 10.0, 60.0)
         yw = np.zeros(4, dtype=complex)
-        res = original_scheme(yw, OneHotStub(16, 7), OneHotStub(3, 2), book)
+        res = original_scheme(yw, one_hot(16, 7), one_hot(3, 2), book)
         assert res.index == 23
         assert res.beams_tested == 4
         assert np.array_equal(res.codeword, book.codeword(23))
 
     def test_uniform_stub_ties_to_first(self):
         book = build_polar_codebook(ArrayConfig(8), 2, 10.0, 60.0)
-        res = original_scheme(np.zeros(2, dtype=complex), UniformStub(8), UniformStub(2), book)
+        res = original_scheme(np.zeros(2, dtype=complex), uniform(8), uniform(2), book)
         assert res.index == 1
 
     def test_oracle_stub_recovers_truth(self):
@@ -95,16 +105,16 @@ class TestOriginalScheme:
             i_star, s_star, n_star = sweep_oracle(book, h)
             res = original_scheme(
                 np.zeros(4, dtype=complex),
-                OneHotStub(16, n_star), OneHotStub(3, s_star), book,
+                one_hot(16, n_star), one_hot(3, s_star), book,
             )
             assert res.index == i_star
 
     def test_head_size_mismatch_rejected(self):
         book = build_polar_codebook(ArrayConfig(8), 2, 10.0, 60.0)
         with pytest.raises(ValueError):
-            original_scheme(np.zeros(2, dtype=complex), OneHotStub(9, 1), OneHotStub(2, 1), book)
+            original_scheme(np.zeros(2, dtype=complex), one_hot(9, 1), one_hot(2, 1), book)
         with pytest.raises(ValueError):
-            original_scheme(np.zeros(2, dtype=complex), OneHotStub(8, 1), OneHotStub(3, 1), book)
+            original_scheme(np.zeros(2, dtype=complex), one_hot(8, 1), one_hot(3, 1), book)
 
 
 class TestImprovedScheme:
@@ -224,17 +234,6 @@ class TestBaselines:
         h = random_channel(rng, cfg)
         res = far_field_baseline(narrow, h, link_from_snr_db(10.0), rng)
         assert 1 <= res.index <= 16
-
-
-class TestStubs:
-    def test_one_hot_stub_range_checked(self):
-        with pytest.raises(ValueError):
-            OneHotStub(4, 5)
-
-    def test_stub_distributions(self):
-        npt.assert_allclose(UniformStub(5).predict_proba(None), 0.2)
-        p = OneHotStub(5, 3).predict_proba(None)
-        assert p[2] == 1.0 and p.sum() == 1.0
 
 
 class TestMeasurementVectorInput:
