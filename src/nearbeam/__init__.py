@@ -18,14 +18,11 @@ from .codebook import (
     export_codebook,
     import_codebook,
     index_to_pair,
-    narrow_codeword,
     ring_grid,
-    wide_codeword,
 )
 from .config import ConfigError, FullConfig, desk_scale_config, load_config, paper_scale_config
 from .dataset import Dataset, generate_dataset, load_dataset, save_dataset, spot_check_labels
 from .experiments import (
-    MetricsConfig,
     TrialRecord,
     effective_rate,
     normalized_snr,

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .codebook import build_narrow_codebook, build_polar_codebook, build_wide_codebook, export_codebook
-from .config import ConfigError, FullConfig, desk_scale_config, load_config, paper_scale_config
+from .config import (ConfigError, FullConfig, apply_overrides, desk_scale_config, load_config,
+                     paper_scale_config)
 from .dataset import DatasetFormatError, export_labels_csv, generate_dataset, load_dataset, save_dataset
 from .experiments import run_experiment
 from .net import NetModelError, load_model, save_model
@@ -126,7 +127,7 @@ def cmd_eval_heads(parser, args) -> int:
 def _run_experiment_cmd(parser, args, schemes_override=None) -> int:
     cfg = _resolve_config(parser, args)
     if schemes_override is not None:
-        cfg.experiment.schemes = schemes_override
+        apply_overrides(cfg, {"experiment": {"schemes": schemes_override}})
     dir_model = dist_model = None
     if args.stub is None and any(s in ("original", "improved") for s in cfg.experiment.schemes):
         models_dir = args.models_dir if args.models_dir is not None else args.out_dir

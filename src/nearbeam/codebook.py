@@ -115,9 +115,6 @@ class PolarCodebook:
     def index(self, s: int, n: int) -> int:
         return codeword_index(s, n, self.num_angles, self.num_rings)
 
-    def pair(self, i: int) -> tuple[int, int]:
-        return index_to_pair(i, self.num_angles, self.num_rings)
-
 
 @dataclass(frozen=True)
 class NarrowCodebook:
@@ -171,51 +168,27 @@ def build_polar_codebook(
     return PolarCodebook(array=cfg, angles=angles, ring_distances=rings, codewords=codewords)
 
 
-def narrow_codeword(cfg: ArrayConfig, n: int) -> np.ndarray:
-    """The n-th (1-based) narrow far-field beam, entry k = exp(+j*pi*k*theta_n)/sqrt(N)."""
-    grid = angle_grid(cfg.num_antennas)
-    if not 1 <= n <= cfg.num_antennas:
-        raise ValueError(f"narrow beam index {n} out of range 1..{cfg.num_antennas}")
-    k = np.arange(cfg.num_antennas)
-    return np.exp(1j * np.pi * k * grid[n - 1]) / np.sqrt(cfg.num_antennas)
-
-
-def wide_codeword(cfg: ArrayConfig, m: int, subarray_factor: int) -> np.ndarray:
-    """The m-th (1-based) wide beam using the first N/T antennas, zero elsewhere.
-
-    Active entries have modulus sqrt(T/N) so the codeword is unit norm.
-    """
-    n_ant = cfg.num_antennas
-    t = subarray_factor
-    if t < 1 or n_ant % t != 0:
-        raise ValueError(f"subarray factor {t} must divide num_antennas {n_ant}")
-    num_wide = n_ant // t
-    if not 1 <= m <= num_wide:
-        raise ValueError(f"wide beam index {m} out of range 1..{num_wide}")
-    theta = angle_grid(num_wide)[m - 1]
-    w = np.zeros(n_ant, dtype=np.complex128)
-    k = np.arange(n_ant // t)
-    w[: n_ant // t] = np.exp(1j * np.pi * k * theta) * np.sqrt(t / n_ant)
-    return w
-
-
 def build_narrow_codebook(cfg: ArrayConfig) -> NarrowCodebook:
-    grid = angle_grid(cfg.num_antennas)
-    words = np.stack([narrow_codeword(cfg, n) for n in range(1, cfg.num_antennas + 1)])
+    """N narrow far-field beams; beam n has entries exp(+j*pi*k*theta_n)/sqrt(N)."""
+    n = cfg.num_antennas
+    grid = angle_grid(n)
+    words = np.exp(1j * np.pi * np.arange(n)[None, :] * grid[:, None]) / np.sqrt(n)
     return NarrowCodebook(array=cfg, angles=grid, codewords=words)
 
 
 def build_wide_codebook(cfg: ArrayConfig, subarray_factor: int) -> WideCodebook:
-    if subarray_factor < 1 or cfg.num_antennas % subarray_factor != 0:
-        raise ValueError(
-            f"subarray factor {subarray_factor} must divide num_antennas {cfg.num_antennas}"
-        )
-    num_wide = cfg.num_antennas // subarray_factor
-    angles = angle_grid(num_wide)
-    words = np.stack(
-        [wide_codeword(cfg, mm, subarray_factor) for mm in range(1, num_wide + 1)]
-    )
-    return WideCodebook(array=cfg, subarray_factor=subarray_factor, angles=angles, codewords=words)
+    """M = N/T wide beams on the first M antennas, zero elsewhere; active
+    entries exp(+j*pi*k*theta_m) have modulus sqrt(T/N), so each beam is
+    unit norm."""
+    n, t = cfg.num_antennas, subarray_factor
+    if t < 1 or n % t != 0:
+        raise ValueError(f"subarray factor {t} must divide num_antennas {n}")
+    num_wide = n // t
+    grid = angle_grid(num_wide)
+    words = np.zeros((num_wide, n), dtype=np.complex128)
+    words[:, :num_wide] = (np.exp(1j * np.pi * np.arange(num_wide)[None, :] * grid[:, None])
+                           * np.sqrt(t / n))
+    return WideCodebook(array=cfg, subarray_factor=t, angles=grid, codewords=words)
 
 
 # --- binary import/export -------------------------------------------------
@@ -258,7 +231,13 @@ def export_codebook(path, book: PolarCodebook | NarrowCodebook | WideCodebook) -
 
 
 def import_codebook(path) -> PolarCodebook | NarrowCodebook | WideCodebook:
-    """Read a codebook written by :func:`export_codebook`."""
+    """Read a codebook written by :func:`export_codebook`.
+
+    A header that no exported codebook has (N = 0, a polar file without
+    rings, a wide file whose T does not divide N or whose M is not N/T, a
+    non-zero unused field, a non-positive wavelength or spacing) and bytes
+    after the payload raise :class:`CodebookFormatError`.
+    """
     with open(path, "rb") as f:
         raw = f.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -268,15 +247,23 @@ def import_codebook(path) -> PolarCodebook | NarrowCodebook | WideCodebook:
             raise CodebookFormatError(f"bad magic {magic!r}")
         if version != _FORMAT_VERSION:
             raise CodebookFormatError(f"unsupported codebook format version {version}")
-        cfg = ArrayConfig(num_antennas=n_ant, carrier_wavelength=lam, antenna_spacing=spacing)
+        try:
+            cfg = ArrayConfig(num_antennas=n_ant, carrier_wavelength=lam, antenna_spacing=spacing)
+        except ValueError as exc:
+            raise CodebookFormatError(f"bad array in codebook header: {exc}") from exc
         if kind == _KIND_POLAR:
-            rows = n_ant * aux1
+            rows, valid = n_ant * aux1, aux1 >= 1 and aux2 == 0
         elif kind == _KIND_NARROW:
-            rows = n_ant
+            rows, valid = n_ant, aux1 == 0 and aux2 == 0
         elif kind == _KIND_WIDE:
-            rows = aux1
+            rows, valid = aux1, aux2 >= 1 and aux1 * aux2 == n_ant
         else:
             raise CodebookFormatError(f"unknown codebook kind {kind}")
+        if not valid:
+            raise CodebookFormatError(
+                f"inconsistent codebook header: kind {kind}, N={n_ant}, "
+                f"S/M field {aux1}, T field {aux2}"
+            )
         raw = f.read(rows * n_ant * 16)
         if len(raw) != rows * n_ant * 16:
             raise CodebookFormatError("truncated codeword block")
@@ -285,15 +272,12 @@ def import_codebook(path) -> PolarCodebook | NarrowCodebook | WideCodebook:
             raw = f.read(aux1 * n_ant * 8)
             if len(raw) != aux1 * n_ant * 8:
                 raise CodebookFormatError("truncated ring-distance block")
-            rings = np.frombuffer(raw, dtype="<f8")
-            return PolarCodebook(
-                array=cfg,
-                angles=angle_grid(n_ant),
-                ring_distances=rings.reshape(aux1, n_ant).copy(),
-                codewords=words,
-            )
-        if kind == _KIND_NARROW:
-            return NarrowCodebook(array=cfg, angles=angle_grid(n_ant), codewords=words)
-        return WideCodebook(
-            array=cfg, subarray_factor=aux2, angles=angle_grid(aux1), codewords=words
-        )
+            rings = np.frombuffer(raw, dtype="<f8").reshape(aux1, n_ant).copy()
+        if f.read(1):
+            raise CodebookFormatError("unexpected bytes after the codebook payload")
+    if kind == _KIND_POLAR:
+        return PolarCodebook(array=cfg, angles=angle_grid(n_ant), ring_distances=rings,
+                             codewords=words)
+    if kind == _KIND_NARROW:
+        return NarrowCodebook(array=cfg, angles=angle_grid(n_ant), codewords=words)
+    return WideCodebook(array=cfg, subarray_factor=aux2, angles=angle_grid(aux1), codewords=words)

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .geometry import ArrayConfig, ScenarioConfig
-
-DEFAULT_WAVELENGTH = 0.00999308193333333  # c / 30 GHz
+from .geometry import DEFAULT_WAVELENGTH, ArrayConfig, ScenarioConfig
 
 
 class ConfigError(Exception):
@@ -109,12 +107,7 @@ class FullConfig:
         )
 
     def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            num_paths=self.scenario.num_paths,
-            gain_variances=tuple(self.scenario.gain_variances),
-            distance_range=tuple(self.scenario.distance_range),
-            angle_range=tuple(self.scenario.angle_range),
-        )
+        return ScenarioConfig(**dataclasses.asdict(self.scenario))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -200,10 +193,23 @@ def _validate(cfg: FullConfig) -> None:
         raise ConfigError("experiment.top_k_angles cannot exceed array.num_antennas")
     if cfg.experiment.top_l_rings > a.num_rings:
         raise ConfigError("experiment.top_l_rings cannot exceed array.num_rings")
-    known = {"sweep", "original", "improved", "random", "farfield"}
-    for scheme in cfg.experiment.schemes:
-        if scheme not in known:
+    e = cfg.experiment
+    # beams each scheme tests per trial
+    beams = {
+        "sweep": a.num_antennas * a.num_rings,
+        "original": num_wide,
+        "improved": num_wide + e.top_k_angles * e.top_l_rings,
+        "random": 0,
+        "farfield": a.num_antennas,
+    }
+    for scheme in e.schemes:
+        if scheme not in beams:
             raise ConfigError(f"unknown scheme '{scheme}' in experiment.schemes")
+        if e.slot_per_beam * beams[scheme] > e.total_slots:
+            raise ConfigError(
+                f"scheme '{scheme}' needs {e.slot_per_beam * beams[scheme]} slots, "
+                f"experiment.total_slots is {e.total_slots}"
+            )
 
 
 def load_config(path, base: FullConfig | None = None) -> FullConfig:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class Dataset:
     @property
     def test_indices(self) -> np.ndarray:
         return np.arange(self.n_train + self.n_val, self.num_samples)
-
-    def label_index(self, i: int) -> int:
-        """Flat 1-based codebook index of sample i's label."""
-        return (int(self.label_s[i]) - 1) * self.num_angles + int(self.label_n[i])
 
 
 def split_sizes(num_samples: int, val_fraction: float = 0.1, test_fraction: float = 0.1):
@@ -163,26 +159,8 @@ def generate_dataset(
         label_s[start:stop] = flat // polar.num_angles + 1
         label_n[start:stop] = flat % polar.num_angles + 1
 
-    config = {
-        "array": {
-            "num_antennas": array_cfg.num_antennas,
-            "carrier_wavelength": array_cfg.carrier_wavelength,
-            "antenna_spacing": array_cfg.antenna_spacing,
-        },
-        "scenario": {
-            "num_paths": scenario.num_paths,
-            "gain_variances": list(scenario.gain_variances),
-            "distance_range": list(scenario.distance_range),
-            "angle_range": list(scenario.angle_range),
-        },
-        "codebook": {
-            "num_rings": num_rings,
-            "r_min": r_min,
-            "r_max": r_max,
-            "subarray_factor": subarray_factor,
-        },
-        "snr_range_db": [lo, hi],
-    }
+    config = _config_blob(array_cfg, scenario, num_rings, r_min, r_max, subarray_factor,
+                          snr_range_db)
     return Dataset(
         num_angles=array_cfg.num_antennas,
         num_rings=num_rings,
@@ -253,6 +231,14 @@ def load_dataset(path, verify_fraction: float = 0.01) -> Dataset:
             config = json.loads(f.read(blob_len))
         except json.JSONDecodeError as exc:
             raise DatasetFormatError("unreadable config blob") from exc
+        array_cfg, _ = _generation_configs(config)
+        cb = config["codebook"]
+        header = (n_angles, n_rings, t_factor, lam, n_wide * t_factor)
+        blob = (array_cfg.num_antennas, cb["num_rings"], cb["subarray_factor"],
+                array_cfg.carrier_wavelength, array_cfg.num_antennas)
+        if header != blob:
+            raise DatasetFormatError(f"header (N, S, T, wavelength, M*T) {header} disagrees "
+                                     f"with the config blob's {blob}")
         dtype = _record_dtype(n_wide)
         raw = f.read(count * dtype.itemsize)
         if len(raw) != count * dtype.itemsize:
@@ -273,6 +259,35 @@ def load_dataset(path, verify_fraction: float = 0.01) -> Dataset:
     if verify_fraction > 0:
         spot_check_labels(ds, fraction=verify_fraction)
     return ds
+
+
+def _config_blob(array_cfg: ArrayConfig, scenario: ScenarioConfig, num_rings, r_min, r_max,
+                 subarray_factor, snr_range_db) -> dict:
+    """The generation config a dataset file stores, passed through JSON once
+    so that the dict held in memory equals the one a load reads back."""
+    lo, hi = snr_range_db
+    return json.loads(json.dumps({
+        "array": asdict(array_cfg),
+        "scenario": asdict(scenario),
+        "codebook": {"num_rings": num_rings, "r_min": r_min, "r_max": r_max,
+                     "subarray_factor": subarray_factor},
+        "snr_range_db": [lo, hi],
+    }))
+
+
+def _generation_configs(config) -> tuple[ArrayConfig, ScenarioConfig]:
+    """The array and scenario of a stored config blob. A blob that is not the
+    one :func:`_config_blob` writes for the configs it names (a key missing
+    or unknown, a value out of range) raises :class:`DatasetFormatError`."""
+    try:
+        array_cfg, scenario = ArrayConfig(**config["array"]), ScenarioConfig(**config["scenario"])
+        rebuilt = _config_blob(array_cfg, scenario, **config["codebook"],
+                               snr_range_db=config["snr_range_db"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"config blob does not rebuild: {exc!r}") from exc
+    if rebuilt != config:
+        raise DatasetFormatError("config blob differs from the one its configs rebuild")
+    return array_cfg, scenario
 
 
 def _check_records(ds: Dataset) -> None:
@@ -296,21 +311,13 @@ def spot_check_labels(ds: Dataset, fraction: float = 0.01) -> int:
     compare the stored labels; returns the number checked."""
     count = max(1, int(round(ds.num_samples * fraction)))
     idx = np.unique(np.linspace(0, ds.num_samples - 1, count).astype(int))
-    arr = ds.config["array"]
+    array_cfg, scenario = _generation_configs(ds.config)
     cb = ds.config["codebook"]
-    array_cfg = ArrayConfig(
-        num_antennas=arr["num_antennas"],
-        carrier_wavelength=arr["carrier_wavelength"],
-        antenna_spacing=arr["antenna_spacing"],
-    )
-    scenario = ScenarioConfig(
-        num_paths=ds.config["scenario"]["num_paths"],
-        gain_variances=tuple(ds.config["scenario"]["gain_variances"]),
-        distance_range=tuple(ds.config["scenario"]["distance_range"]),
-        angle_range=tuple(ds.config["scenario"]["angle_range"]),
-    )
-    polar = build_polar_codebook(array_cfg, cb["num_rings"], cb["r_min"], cb["r_max"])
-    wide = build_wide_codebook(array_cfg, cb["subarray_factor"])
+    try:
+        polar = build_polar_codebook(array_cfg, cb["num_rings"], cb["r_min"], cb["r_max"])
+        wide = build_wide_codebook(array_cfg, cb["subarray_factor"])
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"config blob codebook does not build: {exc}") from exc
     snr_range = tuple(ds.config["snr_range_db"])
     for i in idx:
         values, n_star, s_star, snr_db = generate_sample(

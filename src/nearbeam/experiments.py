@@ -17,13 +17,13 @@ the polar-codebook oracle and its G_N can exceed 1 by a sliver.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .codebook import build_narrow_codebook, build_polar_codebook, build_wide_codebook
-from .config import FullConfig
+from .config import ExperimentSection, FullConfig
 from .geometry import sample_paths, synth_channel
 from .measurement import achievable_rate, link_from_snr_db, measure_wide, sweep_oracle
 from .schemes import (
@@ -34,14 +34,6 @@ from .schemes import (
     random_baseline,
     sweep_scheme,
 )
-
-
-@dataclass
-class MetricsConfig:
-    slot_per_beam: int = 1        # t_s, pilot slots spent per beam test
-    total_slots: int = 25600      # coherence budget
-    snr_grid_db: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0])
-    trials: int = 200
 
 
 @dataclass
@@ -64,30 +56,19 @@ def normalized_snr(w_hat: np.ndarray, w_star: np.ndarray, h: np.ndarray) -> floa
     return abs(np.vdot(w_hat, h)) ** 2 / denom
 
 
-def effective_rate(w_hat, h, link, beams_tested: int, metrics: MetricsConfig) -> float:
-    """Achievable rate discounted by the share of the coherence budget spent
-    on beam tests."""
-    overhead = metrics.slot_per_beam * beams_tested
-    if overhead > metrics.total_slots:
+def effective_rate(w_hat, h, link, beams_tested: int, exp: ExperimentSection) -> float:
+    """Achievable rate discounted by the share of the coherence budget
+    (``exp.total_slots``, ``exp.slot_per_beam`` slots a beam) spent on beam
+    tests."""
+    overhead = exp.slot_per_beam * beams_tested
+    if overhead > exp.total_slots:
         raise ValueError(
-            f"beam-test overhead {overhead} exceeds coherence budget {metrics.total_slots}"
+            f"beam-test overhead {overhead} exceeds coherence budget {exp.total_slots}"
         )
-    return (1.0 - overhead / metrics.total_slots) * achievable_rate(w_hat, h, link)
+    return (1.0 - overhead / exp.total_slots) * achievable_rate(w_hat, h, link)
 
 
 _SCHEME_IDS = {"sweep": 0, "original": 1, "improved": 2, "random": 3, "farfield": 4}
-
-
-def _scheme_beams(name: str, cfg: FullConfig) -> int:
-    n = cfg.array.num_antennas
-    m = n // cfg.array.subarray_factor
-    return {
-        "sweep": n * cfg.array.num_rings,
-        "original": m,
-        "improved": m + cfg.experiment.top_k_angles * cfg.experiment.top_l_rings,
-        "random": 0,
-        "farfield": n,
-    }[name]
 
 
 def run_experiment(
@@ -106,12 +87,6 @@ def run_experiment(
     written there.
     """
     exp = cfg.experiment
-    metrics = MetricsConfig(
-        slot_per_beam=exp.slot_per_beam,
-        total_slots=exp.total_slots,
-        snr_grid_db=list(exp.snr_grid_db),
-        trials=exp.trials,
-    )
     needs_models = any(s in ("original", "improved") for s in exp.schemes)
     if needs_models and stub is None and (dir_model is None or dist_model is None):
         raise ValueError("original/improved schemes need trained models or a stub mode")
@@ -123,17 +98,11 @@ def run_experiment(
     polar = build_polar_codebook(array_cfg, cfg.array.num_rings, cfg.array.r_min, cfg.array.r_max)
     wide = build_wide_codebook(array_cfg, cfg.array.subarray_factor)
     narrow = build_narrow_codebook(array_cfg) if "farfield" in exp.schemes else None
-    for name in exp.schemes:
-        overhead = metrics.slot_per_beam * _scheme_beams(name, cfg)
-        if overhead > metrics.total_slots:
-            raise ValueError(
-                f"scheme '{name}' needs {overhead} slots, budget is {metrics.total_slots}"
-            )
 
     records: list[TrialRecord] = []
-    for snr_idx, snr_db in enumerate(metrics.snr_grid_db):
+    for snr_idx, snr_db in enumerate(exp.snr_grid_db):
         link = link_from_snr_db(float(snr_db))
-        for trial in range(metrics.trials):
+        for trial in range(exp.trials):
             chan_rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, snr_idx, trial, 0])
             )
@@ -182,7 +151,7 @@ def run_experiment(
                     g_n=normalized_snr(result.codeword, w_star, h),
                     rate=achievable_rate(result.codeword, h, link),
                     eff_rate=effective_rate(result.codeword, h, link,
-                                            result.beams_tested, metrics),
+                                            result.beams_tested, exp),
                     beams=result.beams_tested,
                     seed=int(scheme_seq.generate_state(1)[0]),
                 ))

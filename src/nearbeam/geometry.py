@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_WAVELENGTH = 0.00999308193333333  # c / 30 GHz
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -28,7 +30,7 @@ class ArrayConfig:
     """
 
     num_antennas: int
-    carrier_wavelength: float = 0.00999308193333333  # c / 30 GHz
+    carrier_wavelength: float = DEFAULT_WAVELENGTH
     antenna_spacing: float | None = None
 
     def __post_init__(self):

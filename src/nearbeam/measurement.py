@@ -1,8 +1,9 @@
 """Pilot measurement model, achievable rate, and the exhaustive-sweep oracle.
 
-A beam test receives y = sqrt(P) * w^H h * x + w^H n with n drawn fresh,
-circularly-symmetric complex Gaussian with covariance sigma2 * I. Transmit
-SNR in dB is P/sigma2 with sigma2 normalized to 1.
+A beam test receives y = sqrt(P) * w^H h * x + w^H n with the pilot symbol
+x = 1 and n drawn fresh, circularly-symmetric complex Gaussian with
+covariance sigma2 * I. Transmit SNR in dB is P/sigma2 with sigma2
+normalized to 1.
 """
 
 from __future__ import annotations
@@ -16,45 +17,28 @@ from .codebook import PolarCodebook, WideCodebook, index_to_pair
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Transmit power, noise variance and pilot symbol (all linear units)."""
+    """Transmit power and noise variance (linear units)."""
 
     transmit_power: float = 1.0
     noise_variance: float = 1.0
-    pilot_symbol: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if self.transmit_power < 0:
             raise ValueError("transmit_power must be >= 0")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if abs(abs(self.pilot_symbol) ** 2 - 1.0) > 1e-12:
-            raise ValueError("pilot symbol must have unit modulus")
-
-    @property
-    def snr_db(self) -> float:
-        """Transmit SNR P/sigma2 in dB (inf when noiseless)."""
-        if self.noise_variance == 0:
-            return np.inf
-        if self.transmit_power == 0:
-            return -np.inf
-        return 10.0 * np.log10(self.transmit_power / self.noise_variance)
 
 
-def link_from_snr_db(snr_db: float, pilot_symbol: complex = 1.0 + 0.0j) -> LinkConfig:
+def link_from_snr_db(snr_db: float) -> LinkConfig:
     """LinkConfig at the given transmit SNR with unit noise variance."""
-    return LinkConfig(
-        transmit_power=10.0 ** (snr_db / 10.0),
-        noise_variance=1.0,
-        pilot_symbol=pilot_symbol,
-    )
+    return LinkConfig(transmit_power=10.0 ** (snr_db / 10.0), noise_variance=1.0)
 
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    """Received pilot values for all M wide beams at one transmit SNR."""
+    """Received pilot values for all M wide beams."""
 
     values: np.ndarray  # (M,) complex
-    snr_db: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -63,14 +47,14 @@ class MeasurementVector:
 def measure(
     w: np.ndarray, h: np.ndarray, link: LinkConfig, rng: np.random.Generator
 ) -> complex:
-    """One beam test: y = sqrt(P) w^H h x + w^H n, fresh noise every call.
+    """One beam test: y = sqrt(P) w^H h + w^H n, fresh noise every call.
 
     The noise takes 2N normals from ``rng``: N real parts, then N imaginary
     parts. Stored datasets depend on this order.
     """
     if w.shape != h.shape:
         raise ValueError(f"codeword/channel shape mismatch: {w.shape} vs {h.shape}")
-    y = np.sqrt(link.transmit_power) * np.vdot(w, h) * link.pilot_symbol
+    y = np.sqrt(link.transmit_power) * np.vdot(w, h)
     if link.noise_variance > 0:
         noise = np.empty(len(w), dtype=np.complex128)
         noise.real, noise.imag = rng.standard_normal((2, len(w)))
@@ -86,7 +70,7 @@ def measure_wide(
         [measure(wide.codewords[m], h, link, rng) for m in range(wide.num_wide)],
         dtype=np.complex128,
     )
-    return MeasurementVector(values=values, snr_db=link.snr_db)
+    return MeasurementVector(values=values)
 
 
 def achievable_rate(w: np.ndarray, h: np.ndarray, link: LinkConfig) -> float:

@@ -15,7 +15,6 @@ from .model import (
     NetworkModel,
     build_model,
     cross_entropy_batch,
-    default_layers,
     encode_batch,
     model_from_specs,
 )
@@ -26,7 +25,7 @@ __all__ = [
     "AvgPoolToLength", "BatchNorm", "Conv1D", "Flatten", "FullyConnected",
     "Layer", "ReLU", "SoftmaxHead", "layer_from_spec",
     "NetworkModel", "build_model", "cross_entropy_batch",
-    "default_layers", "encode_batch", "model_from_specs",
+    "encode_batch", "model_from_specs",
     "SGD", "Adam", "make_optimizer",
     "NetModelError", "load_model", "save_model",
 ]

@@ -140,20 +140,21 @@ class NetworkModel:
             value[...] = snapshot[name]
 
 
-def default_layers(
+def build_model(
     input_length: int,
     head_size: int,
     rng: np.random.Generator,
     conv_channels: tuple[int, int] = (64, 256),
     fc_widths: tuple[int, int, int] = (1024, 1024, 512),
     pool_target: int = 1,
-) -> list[Layer]:
-    """The default two-conv, three-hidden-FC stack (see module docstring)."""
+) -> NetworkModel:
+    """The default two-conv, three-hidden-FC stack (see module docstring);
+    the layers draw their initial weights from ``rng`` in stack order."""
     c1, c2 = conv_channels
     f1, f2, f3 = fc_widths
     if input_length % pool_target != 0:
         raise ValueError(f"pool_target {pool_target} must divide input length {input_length}")
-    return [
+    layers = [
         Conv1D(2, c1, kernel=3, padding=1, rng=rng),
         ReLU(),
         BatchNorm(c1),
@@ -173,20 +174,6 @@ def default_layers(
         FullyConnected(f3, head_size, rng=rng),
         SoftmaxHead(head_size),
     ]
-
-
-def build_model(
-    input_length: int,
-    head_size: int,
-    rng: np.random.Generator,
-    conv_channels: tuple[int, int] = (64, 256),
-    fc_widths: tuple[int, int, int] = (1024, 1024, 512),
-    pool_target: int = 1,
-) -> NetworkModel:
-    layers = default_layers(input_length, head_size, rng,
-                            conv_channels=conv_channels,
-                            fc_widths=fc_widths,
-                            pool_target=pool_target)
     return NetworkModel(layers, input_length=input_length, head_size=head_size)
 
 

@@ -68,7 +68,6 @@ def original_scheme(yw, dir_model, dist_model, book: PolarCodebook) -> SchemeRes
         index=i_star,
         codeword=book.codeword(i_star),
         beams_tested=len(values),
-        aux={"n_star": n_star, "s_star": s_star},
     )
 
 
@@ -118,23 +117,17 @@ def improved_scheme(
         index=i_star,
         codeword=book.codeword(i_star),
         beams_tested=len(values) + k_angles * l_rings,
-        aux={
-            "k_angles": k_angles,
-            "l_rings": l_rings,
-            "candidates": cands,
-            "measurements": meas,
-        },
+        aux={"candidates": cands, "measurements": meas},
     )
 
 
 def sweep_scheme(book: PolarCodebook, h: np.ndarray) -> SchemeResult:
     """Noiseless exhaustive sweep over all I codewords (the oracle baseline)."""
-    i_star, s_star, n_star = sweep_oracle(book, h)
+    i_star = sweep_oracle(book, h)[0]
     return SchemeResult(
         index=i_star,
         codeword=book.codeword(i_star),
         beams_tested=book.size,
-        aux={"n_star": n_star, "s_star": s_star},
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 def reference_beam_tests(words, h, link, rng) -> np.ndarray:
     values = []
     for w in words:
-        y = np.sqrt(link.transmit_power) * np.vdot(w, h) * link.pilot_symbol
+        y = np.sqrt(link.transmit_power) * np.vdot(w, h)
         if link.noise_variance > 0:
             n = len(w)
             noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)

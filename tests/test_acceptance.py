@@ -9,9 +9,9 @@ import pytest
 
 from gradcheck import check_param_grads
 from nearbeam.codebook import build_polar_codebook, build_wide_codebook
-from nearbeam.config import desk_scale_config, paper_scale_config
+from nearbeam.config import ExperimentSection, desk_scale_config, paper_scale_config
 from nearbeam.dataset import generate_dataset, save_dataset
-from nearbeam.experiments import MetricsConfig, effective_rate, normalized_snr, run_experiment
+from nearbeam.experiments import effective_rate, normalized_snr, run_experiment
 from nearbeam.geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channel
 from nearbeam.measurement import LinkConfig, link_from_snr_db, measure_wide, sweep_oracle
 from nearbeam.net import (
@@ -324,7 +324,7 @@ def test_criterion_8_metric_sanity(desk_run, capsys):
     # at equal beam gain, the 2560-beam sweep pays more overhead than the
     # 148-beam improved scheme: ratio of effective rates is 0.9/0.99421875
     w = np.array([1.0 + 0j])
-    metrics = MetricsConfig(slot_per_beam=1, total_slots=25600)
+    metrics = ExperimentSection(slot_per_beam=1, total_slots=25600)
     r_sweep = effective_rate(w, w, LinkConfig(), 2560, metrics)
     r_improved = effective_rate(w, w, LinkConfig(), 148, metrics)
     ratio_ok = (abs(r_sweep / r_improved - 0.9 / 0.99421875) < 1e-12

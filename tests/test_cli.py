@@ -77,6 +77,20 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and "checksum mismatch" in err
 
 
+    @pytest.mark.parametrize("experiment", [
+        "{total_slots: 20}",
+        "{schemes: [random], total_slots: 20}",  # sweep-baseline's own scheme list
+    ])
+    def test_scheme_over_pilot_budget_is_an_error_message(self, tmp_path, capsys, experiment):
+        path = tmp_path / "c.yaml"
+        path.write_text(f"experiment: {experiment}\n")
+        code = main(["sweep-baseline", "--config", str(path), "--stub", "uniform",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs 320 slots" in err
+
+
 class TestPipeline:
     def test_full_tiny_pipeline(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "out"

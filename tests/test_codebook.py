@@ -13,9 +13,7 @@ from nearbeam.codebook import (
     export_codebook,
     import_codebook,
     index_to_pair,
-    narrow_codeword,
     ring_grid,
-    wide_codeword,
 )
 from nearbeam.geometry import ArrayConfig, near_steering
 
@@ -118,27 +116,29 @@ class TestPolarCodebook:
     def test_far_field_limit_matches_narrow(self):
         cfg = ArrayConfig(4)
         book = build_polar_codebook(cfg, 1, 1e5, 1e6)
+        narrow = build_narrow_codebook(cfg).codewords
         for n in range(1, 5):
-            corr = abs(np.vdot(book.codeword(n), narrow_codeword(cfg, n)))
+            corr = abs(np.vdot(book.codeword(n), narrow[n - 1]))
             assert corr >= 0.999
 
 
 class TestNarrowCodebook:
     def test_boresight_beam_is_constant(self):
         cfg = ArrayConfig(5)  # odd N puts a grid point exactly at sin(theta)=0
-        w = narrow_codeword(cfg, 3)
+        w = build_narrow_codebook(cfg).codewords[2]
         npt.assert_allclose(w, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
 
     def test_direct_substitution_n2(self):
         cfg = ArrayConfig(2)
-        w = narrow_codeword(cfg, 2)  # grid angle +0.5
+        w = build_narrow_codebook(cfg).codewords[1]  # grid angle +0.5
         npt.assert_allclose(w, [1 / np.sqrt(2), np.exp(1j * np.pi / 2) / np.sqrt(2)], atol=1e-15)
 
     def test_grid_search_peaks_at_own_angle(self):
         cfg = ArrayConfig(16)
         grid = angle_grid(16)
+        book = build_narrow_codebook(cfg)
         for n in (1, 5, 9, 16):
-            w = narrow_codeword(cfg, n)
+            w = book.codewords[n - 1]
             # far-field channel vectors at every grid angle, channel sign convention
             corr = [abs(np.vdot(w, near_steering(cfg, t, 1e7))) for t in grid]
             assert int(np.argmax(corr)) == n - 1
@@ -165,9 +165,9 @@ class TestWideCodebook:
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            wide_codeword(ArrayConfig(10), 1, 4)
-        with pytest.raises(ValueError):
             build_wide_codebook(ArrayConfig(10), 4)
+        with pytest.raises(ValueError):
+            build_wide_codebook(ArrayConfig(8), 0)
 
     def test_each_wide_beam_covers_its_narrow_group(self):
         cfg = ArrayConfig(64)
@@ -193,8 +193,8 @@ class TestWideCodebook:
             above = scan[gains >= gains.max() / 2]
             return above.max() - above.min()
 
-        wide = wide_codeword(cfg, 8, t)          # wide beam 8 of 16
-        narrow = narrow_codeword(cfg, 30)        # interior narrow beam
+        wide = build_wide_codebook(cfg, t).codewords[7]   # wide beam 8 of 16
+        narrow = build_narrow_codebook(cfg).codewords[29]  # interior narrow beam
         ratio = half_power_width(wide, -1 + 15 / 16) / half_power_width(narrow, angle_grid(64)[29])
         assert t * 0.8 <= ratio <= t * 1.2
 
@@ -240,4 +240,54 @@ class TestBinaryRoundTrip:
         raw[4] = 99  # version field
         path.write_bytes(bytes(raw))
         with pytest.raises(CodebookFormatError):
+            import_codebook(path)
+
+
+def _rewrite_header(path, **changes):
+    """Rewrite named fields of an exported codebook's header in place."""
+    names = ("magic", "version", "kind", "n", "aux1", "aux2", "wavelength", "spacing")
+    raw = path.read_bytes()
+    header = dict(zip(names, codebook._HEADER.unpack_from(raw)))
+    header.update(changes)
+    path.write_bytes(codebook._HEADER.pack(*header.values()) + raw[codebook._HEADER.size:])
+
+
+class TestHeaderChecks:
+    """Headers that no exported codebook has are rejected by name."""
+
+    @pytest.mark.parametrize("kind,changes,match", [
+        ("narrow", {"n": 0}, "num_antennas"),
+        ("polar", {"aux1": 0}, "inconsistent"),
+        ("polar", {"aux2": 1}, "inconsistent"),
+        ("narrow", {"aux1": 16}, "inconsistent"),
+        ("narrow", {"aux2": 4}, "inconsistent"),
+        ("wide", {"aux2": 3}, "inconsistent"),   # T=3 does not divide N=16
+        ("wide", {"aux1": 0}, "inconsistent"),   # M=0
+        ("wide", {"aux1": 2}, "inconsistent"),   # M != N/T
+        ("wide", {"aux2": 0}, "inconsistent"),
+        ("wide", {"wavelength": 0.0}, "carrier_wavelength"),
+        ("polar", {"wavelength": -0.01}, "carrier_wavelength"),
+        ("narrow", {"spacing": 0.0}, "antenna_spacing"),
+    ])
+    def test_bad_header_rejected(self, tmp_path, kind, changes, match):
+        cfg = ArrayConfig(16)
+        book = {"polar": build_polar_codebook(cfg, 3, 10.0, 60.0),
+                "narrow": build_narrow_codebook(cfg),
+                "wide": build_wide_codebook(cfg, 4)}[kind]
+        path = tmp_path / "book.nbcb"
+        export_codebook(path, book)
+        _rewrite_header(path, **changes)
+        with pytest.raises(CodebookFormatError, match=match):
+            import_codebook(path)
+
+    @pytest.mark.parametrize("kind", ["polar", "narrow", "wide"])
+    def test_trailing_bytes_rejected(self, tmp_path, kind):
+        cfg = ArrayConfig(8)
+        book = {"polar": build_polar_codebook(cfg, 2, 10.0, 60.0),
+                "narrow": build_narrow_codebook(cfg),
+                "wide": build_wide_codebook(cfg, 2)}[kind]
+        path = tmp_path / "book.nbcb"
+        export_codebook(path, book)
+        path.write_bytes(path.read_bytes() + bytes(1))
+        with pytest.raises(CodebookFormatError, match="after the codebook payload"):
             import_codebook(path)

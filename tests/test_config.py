@@ -67,6 +67,16 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="unknown scheme"):
             apply_overrides(desk_scale_config(), {"experiment": {"schemes": ["magic"]}})
 
+    def test_scheme_over_pilot_budget_rejected(self):
+        # the desk sweep tests N*S = 320 beams
+        with pytest.raises(ConfigError, match="scheme 'sweep' needs 320 slots"):
+            apply_overrides(desk_scale_config(), {"experiment": {"total_slots": 20}})
+        with pytest.raises(ConfigError, match="scheme 'improved' needs 52 slots"):
+            apply_overrides(desk_scale_config(), {"experiment": {
+                "schemes": ["improved"], "total_slots": 50, "slot_per_beam": 2}})
+        cfg = apply_overrides(desk_scale_config(), {"experiment": {"total_slots": 320}})
+        assert cfg.experiment.total_slots == 320
+
     def test_int_rejects_bool_and_float(self):
         with pytest.raises(ConfigError):
             apply_overrides(desk_scale_config(), {"train": {"epochs": True}})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -46,9 +48,6 @@ class TestGeneration:
         assert ds.label_n.min() >= 1 and ds.label_n.max() <= 16
         assert ds.label_s.min() >= 1 and ds.label_s.max() <= 3
         assert np.all((ds.snr_db >= 0) & (ds.snr_db <= 20))
-        # flat label index always valid
-        for i in range(ds.num_samples):
-            assert 1 <= ds.label_index(i) <= 48
 
     def test_splits_partition_samples(self):
         ds = small_dataset()
@@ -202,3 +201,74 @@ class TestRoundTrip:
         assert len(lines) == 21
         assert lines[1].startswith("0,train,")
         assert lines[-1].startswith("19,test,")
+
+
+def _rewrite(path, header=None, blob=None):
+    """Rewrite header fields (by name) or the config blob (through ``blob``,
+    which edits the parsed dict) of a saved dataset in place."""
+    names = ("magic", "version", "n", "s", "m", "t", "wavelength", "count",
+             "n_train", "n_val", "n_test", "base_seed", "blob_len")
+    raw = path.read_bytes()
+    fields = dict(zip(names, dataset._HEADER.unpack_from(raw)))
+    start = dataset._HEADER.size
+    config = json.loads(raw[start:start + fields["blob_len"]])
+    records = raw[start + fields["blob_len"]:]
+    fields.update(header or {})
+    if blob is not None:
+        blob(config)
+    text = json.dumps(config).encode()
+    fields["blob_len"] = len(text)
+    path.write_bytes(dataset._HEADER.pack(*fields.values()) + text + records)
+
+
+class TestHeaderAgainstConfig:
+    """The header's N, S, T, wavelength and M = N/T must equal the config
+    blob's, and the blob must rebuild into the generation dataclasses."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        path = tmp_path / "ds.nbds"
+        save_dataset(path, small_dataset(num_samples=20, n=16, rings=5))
+        return path
+
+    def test_untouched_file_loads(self, saved):
+        _rewrite(saved)
+        assert load_dataset(saved, verify_fraction=1.0).num_rings == 5
+
+    @pytest.mark.parametrize("header", [
+        {"n": 32},
+        {"s": 7},
+        {"t": 2},
+        {"t": 2, "m": 8},
+        {"wavelength": 2 * 0.00999308193333333},
+        {"m": 2},
+    ], ids=["N", "S", "T", "T-and-M", "wavelength", "M"])
+    def test_header_disagreeing_with_blob_rejected(self, saved, header):
+        _rewrite(saved, header=header)
+        with pytest.raises(DatasetFormatError, match="disagrees with the config blob"):
+            load_dataset(saved, verify_fraction=0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c["array"].pop("antenna_spacing"),
+        lambda c: c["scenario"].update(extra=1),
+        lambda c: c["codebook"].pop("r_max"),
+        lambda c: c["codebook"].update(num_wide=4),
+        lambda c: c.pop("snr_range_db"),
+        lambda c: c.update(recipe="v2"),
+        lambda c: c.update(snr_range_db=[0.0, 10.0, 20.0]),
+        lambda c: c["scenario"].update(angle_range=[0.5, 2.0]),
+        lambda c: c["scenario"].update(num_paths=2),
+        lambda c: c["array"].update(antenna_spacing=-1.0),
+        lambda c: c["array"].update(num_antennas="16"),
+    ], ids=["array-key-missing", "scenario-key-unknown", "codebook-key-missing",
+            "codebook-key-unknown", "section-missing", "section-unknown", "snr-range",
+            "angle-range", "num-paths", "spacing", "antennas-type"])
+    def test_blob_that_does_not_rebuild_rejected(self, saved, edit):
+        _rewrite(saved, blob=edit)
+        with pytest.raises(DatasetFormatError, match="config blob"):
+            load_dataset(saved, verify_fraction=0)
+
+    def test_codebook_values_that_do_not_build_rejected(self, saved):
+        _rewrite(saved, blob=lambda c: c["codebook"].update(r_min=100.0))
+        with pytest.raises(DatasetFormatError, match="codebook does not build"):
+            load_dataset(saved)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nearbeam.codebook import build_polar_codebook, build_wide_codebook
-from nearbeam.config import desk_scale_config
+from nearbeam.config import ExperimentSection, desk_scale_config
 from nearbeam.experiments import (
-    MetricsConfig,
     effective_rate,
     normalized_snr,
     run_experiment,
@@ -78,18 +77,18 @@ class TestNormalizedSnr:
 class TestEffectiveRate:
     def test_full_overhead_kills_rate(self):
         w = np.array([1.0 + 0j])
-        metrics = MetricsConfig(slot_per_beam=1, total_slots=100)
+        metrics = ExperimentSection(slot_per_beam=1, total_slots=100)
         assert effective_rate(w, w, LinkConfig(), 100, metrics) == 0.0
 
     def test_zero_beams_gives_plain_rate(self):
         w = np.array([1.0 + 0j])
-        metrics = MetricsConfig()
+        metrics = ExperimentSection()
         assert effective_rate(w, w, LinkConfig(), 0, metrics) == pytest.approx(1.0)
 
     def test_sweep_vs_improved_overhead_ratio(self):
         # paper-scale beam counts: 2560-beam sweep vs 148-beam improved scheme
         w = np.array([1.0 + 0j])
-        metrics = MetricsConfig(slot_per_beam=1, total_slots=25600)
+        metrics = ExperimentSection(slot_per_beam=1, total_slots=25600)
         r_sweep = effective_rate(w, w, LinkConfig(), 2560, metrics)
         r_improved = effective_rate(w, w, LinkConfig(), 148, metrics)
         assert r_sweep / r_improved == pytest.approx(0.9 / 0.99421875, abs=1e-12)
@@ -97,14 +96,14 @@ class TestEffectiveRate:
 
     def test_monotone_decreasing_in_beams(self):
         w = np.array([1.0 + 0j])
-        metrics = MetricsConfig()
+        metrics = ExperimentSection()
         rates = [effective_rate(w, w, LinkConfig(), b, metrics) for b in (0, 10, 100, 1000)]
         assert np.all(np.diff(rates) < 0)
 
     def test_budget_exceeded_rejected(self):
         w = np.array([1.0 + 0j])
         with pytest.raises(ValueError):
-            effective_rate(w, w, LinkConfig(), 101, MetricsConfig(total_slots=100))
+            effective_rate(w, w, LinkConfig(), 101, ExperimentSection(total_slots=100))
 
 
 class TestRunExperiment:

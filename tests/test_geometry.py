@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nearbeam.codebook import narrow_codeword
+from nearbeam.codebook import build_narrow_codebook
 from nearbeam.geometry import (
     ArrayConfig,
     PathParams,
@@ -103,7 +103,7 @@ class TestNearSteering:
         cfg = ArrayConfig(64)
         grid_theta = -1 + (2 * 20 - 1) / 64  # grid angle of narrow beam 20
         b = near_steering(cfg, grid_theta, 1e6 * cfg.carrier_wavelength)
-        a = narrow_codeword(cfg, 20)
+        a = build_narrow_codebook(cfg).codewords[19]
         assert abs(np.vdot(b, a)) >= 0.999
 
     def test_matches_plain_expression_bit_for_bit(self):

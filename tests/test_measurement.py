@@ -43,13 +43,10 @@ class TestLinkConfig:
             LinkConfig(transmit_power=-1.0)
         with pytest.raises(ValueError):
             LinkConfig(noise_variance=-0.1)
-        with pytest.raises(ValueError):
-            LinkConfig(pilot_symbol=2.0)
 
     def test_snr_db(self):
         assert link_from_snr_db(10.0).transmit_power == pytest.approx(10.0)
-        assert link_from_snr_db(10.0).snr_db == pytest.approx(10.0)
-        assert NOISELESS.snr_db == np.inf
+        assert link_from_snr_db(10.0).noise_variance == 1.0
 
 
 class TestMeasure:
@@ -85,15 +82,6 @@ class TestMeasure:
         assert sigma2 * 0.98 <= var <= sigma2 * 1.02
         assert abs(ys.mean()) < 0.01
 
-    def test_noiseless_linear_in_pilot(self):
-        rng = np.random.default_rng(4)
-        h = random_channel(rng)
-        w = h / np.linalg.norm(h)
-        x = np.exp(0.3j)
-        y1 = measure(w, h, NOISELESS, rng)
-        y2 = measure(w, h, LinkConfig(1.0, 0.0, x), rng)
-        assert y2 == pytest.approx(y1 * x, rel=1e-12)
-
 
 class TestMeasureWide:
     def test_paper_scale_length(self):
@@ -126,7 +114,7 @@ class TestMeasureWide:
         assert abs(rho) <= 0.02
 
 
-LINKS = [link_from_snr_db(10.0), LinkConfig(2.0, 0.3, np.exp(0.4j)), NOISELESS]
+LINKS = [link_from_snr_db(10.0), LinkConfig(2.0, 0.3), NOISELESS]
 
 
 class TestStreamCompatibility:
