@@ -6,6 +6,11 @@ i = (s-1)*N + n is the near-field steering vector at (theta_n, r_s^n).
 Indices s, n, i are 1-based at every public surface, matching the usual
 codebook-numbering convention.
 
+Mirror rule: the codeword at -theta is the codeword at theta reversed, bit
+for bit. Where the angle grid is exactly symmetric (N <= 4 or a power of
+two) the build computes the first ceil(N/2) angles of each ring and copies
+the rest; on other grids it computes every row.
+
 Far-field codewords use the exp(+j...) phase sign so that w^H h aligns
 phases against channels synthesized with exp(-j...); wide codewords excite
 only the first N/T antennas.
@@ -23,10 +28,6 @@ from .geometry import ArrayConfig, _steering_rows
 _MAGIC = b"NBCB"
 _FORMAT_VERSION = 1
 _KIND_POLAR, _KIND_NARROW, _KIND_WIDE = 0, 1, 2
-# entries per block of the polar build: the block (16 bytes an entry) and
-# its float temporaries (8 bytes each) take about 320 KiB, inside L2; at
-# N=512, blocks of 2048 entries built about 15% slower
-_BUILD_BLOCK_ENTRIES = 8192
 
 
 class CodebookFormatError(Exception):
@@ -151,21 +152,29 @@ def build_polar_codebook(
 ) -> PolarCodebook:
     """Construct the I = N*S polar codebook on the default sampling grids.
 
-    The codeword matrix is written in place, a block of rows at a time,
-    so the steering temporaries stay in cache and no ring is copied;
-    ring_grid has checked that every distance is positive.
+    Mirror rule: the antenna offsets are antisymmetric and every step of
+    the steering phase is sign-symmetric in floating point, so the codeword
+    at -theta is the codeword at theta reversed, bit for bit. Where the grid
+    is exactly symmetric (theta_{N+1-n} == -theta_n, true for N <= 4 and
+    every power of two) each ring computes its first ceil(N/2) angle rows
+    and fills the rest as reversed copies; on any other grid the half is
+    the whole ring and nothing is copied.
+
+    Each ring is written in place with one steering call, so the
+    temporaries are the size of one (half) ring; ring_grid has checked that
+    every distance is positive.
     """
     n = cfg.num_antennas
     angles = angle_grid(n)
     rings = ring_grid(num_rings, r_min, r_max, angles)
-    thetas = np.tile(angles, num_rings)[:, None]
-    dists = rings.reshape(-1, 1)
-    codewords = np.empty((num_rings * n, n), dtype=np.complex128)
-    rows = max(1, _BUILD_BLOCK_ENTRIES // n)
-    for lo in range(0, len(codewords), rows):
-        _steering_rows(cfg, thetas[lo:lo + rows], dists[lo:lo + rows],
-                       out=codewords[lo:lo + rows])
-    return PolarCodebook(array=cfg, angles=angles, ring_distances=rings, codewords=codewords)
+    mirrored = np.array_equal(angles[::-1], -angles) and np.array_equal(rings[:, ::-1], rings)
+    half = n - n // 2 if mirrored else n
+    codewords = np.empty((num_rings, n, n), dtype=np.complex128)
+    for ring, dists in zip(codewords, rings):
+        _steering_rows(cfg, angles[:half, None], dists[:half, None], out=ring[:half])
+        ring[half:] = ring[:n - half][::-1, ::-1]
+    return PolarCodebook(array=cfg, angles=angles, ring_distances=rings,
+                         codewords=codewords.reshape(num_rings * n, n))
 
 
 def build_narrow_codebook(cfg: ArrayConfig) -> NarrowCodebook:

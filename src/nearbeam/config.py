@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .dataset import split_sizes
 from .geometry import DEFAULT_WAVELENGTH, ArrayConfig, ScenarioConfig
 
 
@@ -184,8 +185,22 @@ def _validate(cfg: FullConfig) -> None:
         raise ConfigError("need 0 < array.r_min < array.r_max")
     if len(cfg.scenario.gain_variances) != cfg.scenario.num_paths:
         raise ConfigError("scenario.gain_variances must list one variance per path")
-    if cfg.train.num_samples < 10:
+    t = cfg.train
+    if t.num_samples < 10:
         raise ConfigError("train.num_samples must be >= 10")
+    for key in ("val_fraction", "test_fraction"):
+        if not 0.0 <= getattr(t, key) < 1.0:
+            raise ConfigError(f"train.{key} must be a finite number in [0, 1), "
+                              f"got {getattr(t, key)}")
+    try:
+        _, n_val, _ = split_sizes(t.num_samples, t.val_fraction, t.test_fraction)
+    except ValueError:
+        raise ConfigError(f"train.val_fraction {t.val_fraction} and train.test_fraction "
+                          f"{t.test_fraction} leave no training samples") from None
+    if n_val < 1:
+        # early stopping scores every epoch on the validation split
+        raise ConfigError(f"train.val_fraction {t.val_fraction} of {t.num_samples} samples "
+                          f"leaves no validation samples")
     num_wide = a.num_antennas // a.subarray_factor
     if num_wide % cfg.net.pool_target != 0:
         raise ConfigError("net.pool_target must divide the wide-beam count M")

@@ -79,6 +79,9 @@ class Dataset:
 
 def split_sizes(num_samples: int, val_fraction: float = 0.1, test_fraction: float = 0.1):
     """80/10/10-style split: floor for val and test, remainder to train."""
+    if not (val_fraction >= 0 and test_fraction >= 0):
+        raise ValueError(f"split fractions must be non-negative, got val {val_fraction}, "
+                         f"test {test_fraction}")
     n_val = int(np.floor(num_samples * val_fraction))
     n_test = int(np.floor(num_samples * test_fraction))
     n_train = num_samples - n_val - n_test

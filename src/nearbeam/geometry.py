@@ -114,9 +114,9 @@ def _steering_rows(cfg: ArrayConfig, theta, r, out: np.ndarray | None = None) ->
     near_steering(cfg, theta[k], r[k]) bit for bit.
 
     The block is written into ``out`` when given (complex128, the broadcast
-    shape). Every operation is the one of the plain expression, in its
-    order, so the values do not depend on how a caller splits its rows into
-    blocks; the temporaries are the size of one block.
+    shape, contiguous rows). Every operation is the one of the plain
+    expression, in its order, so the values do not depend on how a caller
+    splits its rows into blocks; the temporaries are the size of one block.
     """
     offset = antenna_offsets(cfg) * cfg.antenna_spacing
     excess = 2.0 * r * offset * theta
@@ -131,7 +131,10 @@ def _steering_rows(cfg: ArrayConfig, theta, r, out: np.ndarray | None = None) ->
         out = np.empty(phase.shape, dtype=np.complex128)
     np.multiply(1j, phase, out=out)
     np.exp(out, out=out)
-    out /= np.sqrt(cfg.num_antennas)
+    # numpy divides a complex by a real c as a product with 1/c; scaling the
+    # float view does that product for the same bytes, without the division
+    parts = out.view(np.float64)
+    parts *= 1.0 / np.sqrt(cfg.num_antennas)
     return out
 
 

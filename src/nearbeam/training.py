@@ -104,7 +104,10 @@ def _train_one_head(x, labels0, train_idx, val_idx, head_size, cfg, seed, tag):
 
 def train_heads(ds: Dataset, cfg: TrainConfig):
     """Train the direction and distance networks; returns both models and
-    the per-epoch history of each."""
+    the per-epoch history of each. Early stopping needs a validation split:
+    a dataset without one raises ValueError."""
+    if ds.n_val == 0:
+        raise ValueError("train_heads needs validation samples; the dataset's val split is empty")
     x = encode_batch(ds.yw)
     train_idx, val_idx = ds.train_indices, ds.val_indices
     dir_model, dir_hist = _train_one_head(

@@ -90,6 +90,21 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "needs 320 slots" in err
 
+    @pytest.mark.parametrize("train", [
+        "{val_fraction: 0}",
+        "{val_fraction: 0.6, test_fraction: 0.5}",
+        "{val_fraction: -0.5}",
+    ])
+    def test_split_fraction_is_an_error_message(self, tmp_path, capsys, train):
+        path = tmp_path / "c.yaml"
+        path.write_text("array: {num_antennas: 16}\n"
+                        f"train: {{num_samples: 40, {train[1:-1]}}}\n")
+        code = main(["gen-dataset", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.") and "Traceback" not in err
+        assert not (tmp_path / "dataset.nbds").exists()
+
 
 class TestPipeline:
     def test_full_tiny_pipeline(self, tiny_cfg, tmp_path, capsys):

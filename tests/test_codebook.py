@@ -100,11 +100,10 @@ class TestPolarCodebook:
         npt.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_codewords_match_steering_exactly(self):
-        # the blocked in-place build against one near_steering call per
-        # codeword; 16 fits one partial block, 33 and 64 end in a remainder
-        for n, rings in [(16, 3), (33, 8), (64, 3)]:
-            block = codebook._BUILD_BLOCK_ENTRIES // n
-            assert n * rings < block or (n * rings) % block
+        # the in-place build against one near_steering call per codeword:
+        # 1, 3 (a theta = 0 centre row), 16, 64 and 512 mirror half of each
+        # ring, while 33 has a grid that is not exactly symmetric
+        for n, rings in [(1, 2), (3, 4), (16, 3), (33, 8), (64, 3), (512, 5)]:
             cfg = ArrayConfig(n)
             book = build_polar_codebook(cfg, rings, 5.0, 40.0)
             expected = np.stack([

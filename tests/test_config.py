@@ -77,6 +77,20 @@ class TestOverrides:
         cfg = apply_overrides(desk_scale_config(), {"experiment": {"total_slots": 320}})
         assert cfg.experiment.total_slots == 320
 
+    @pytest.mark.parametrize("train, message", [
+        ({"val_fraction": 0}, "train.val_fraction 0.0 of 20000 samples leaves no validation"),
+        ({"num_samples": 10, "val_fraction": 0.05}, "of 10 samples leaves no validation"),
+        ({"val_fraction": 0.6, "test_fraction": 0.5}, "leave no training samples"),
+        ({"val_fraction": 0.5, "test_fraction": 0.5}, "leave no training samples"),
+        ({"val_fraction": -0.5}, r"train.val_fraction must be a finite number in \[0, 1\)"),
+        ({"test_fraction": 1.0}, "train.test_fraction must be"),
+        ({"test_fraction": float("nan")}, "train.test_fraction must be"),
+        ({"val_fraction": float("inf")}, "train.val_fraction must be"),
+    ])
+    def test_split_fractions_checked(self, train, message):
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(desk_scale_config(), {"train": train})
+
     def test_int_rejects_bool_and_float(self):
         with pytest.raises(ConfigError):
             apply_overrides(desk_scale_config(), {"train": {"epochs": True}})

@@ -39,6 +39,9 @@ class TestSplitSizes:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             split_sizes(10, val_fraction=0.5, test_fraction=0.5)
+        for fractions in ((-0.5, 0.1), (0.1, -0.1), (float("nan"), 0.1)):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                split_sizes(10, *fractions)
 
 
 class TestGeneration:

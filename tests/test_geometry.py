@@ -58,14 +58,15 @@ class TestElementDistance:
             assert np.all(err <= k * offset**2 / r + 1e-12)
 
     def test_mirror_symmetry(self):
-        # flipping theta and the antenna offset together leaves r_n unchanged
-        cfg = ArrayConfig(8)
+        # flipping theta and the antenna offset together leaves r_n unchanged,
+        # bit for bit: the polar codebook build copies mirrored rows on this
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            r = rng.uniform(1, 100)
-            theta = rng.uniform(-0.99, 0.99)
-            npt.assert_allclose(near_steering(cfg, theta, r),
-                                near_steering(cfg, -theta, r)[::-1], rtol=1e-14)
+        for n in (1, 2, 3, 7, 8, 33, 512):
+            cfg = ArrayConfig(n)
+            for theta in [0.0, 0.5, -0.25, *rng.uniform(-0.99, 0.99, 30)]:
+                r = rng.uniform(1, 100)
+                assert (near_steering(cfg, theta, r).tobytes()
+                        == near_steering(cfg, -theta, r)[::-1].tobytes()), (n, theta)
 
     def test_rejects_nonpositive_distance(self):
         for r in (0.0, -1.0):

@@ -49,6 +49,13 @@ class TestTrainHeads:
         top1 = (probs.argmax(axis=1) == tiny_ds.label_n[idx] - 1).mean()
         assert top1 > 2.0 / 16  # beats uniform guessing clearly
 
+    def test_empty_val_split_rejected(self):
+        ds = generate_dataset(ArrayConfig(16), ScenarioConfig(), 3, 10.0, 60.0, 4,
+                              num_samples=20, base_seed=21, val_fraction=0.0)
+        assert ds.n_val == 0
+        with pytest.raises(ValueError, match="val split is empty"):
+            train_heads(ds, TINY_TRAIN)
+
     def test_determinism(self, tiny_ds):
         cfg = TrainConfig(batch_size=32, epochs=2, seed=5,
                           conv_channels=(4, 8), fc_widths=(16, 16, 8), pool_target=1)
