@@ -20,7 +20,7 @@ from .config import (ConfigError, FullConfig, apply_overrides, desk_scale_config
 from .dataset import DatasetFormatError, export_labels_csv, generate_dataset, load_dataset, save_dataset
 from .experiments import run_experiment
 from .net import NetModelError, load_model, save_model
-from .training import TrainConfig, evaluate_heads, train_heads
+from .training import evaluate_heads, train_heads
 
 DATASET_FILE = "dataset.nbds"
 DIRECTION_FILE = "direction_model.nbnm"
@@ -56,7 +56,7 @@ def _dataset_path(args) -> Path:
 def cmd_gen_dataset(parser, args) -> int:
     cfg = _resolve_config(parser, args)
     ds = generate_dataset(
-        cfg.array_config(), cfg.scenario_config(),
+        cfg.array_config(), cfg.scenario,
         cfg.array.num_rings, cfg.array.r_min, cfg.array.r_max,
         cfg.array.subarray_factor,
         num_samples=cfg.train.num_samples,
@@ -76,21 +76,14 @@ def cmd_gen_dataset(parser, args) -> int:
 
 def cmd_train(parser, args) -> int:
     cfg = _resolve_config(parser, args)
-    ds = load_dataset(_dataset_path(args))
-    train_cfg = TrainConfig(
-        batch_size=cfg.train.batch_size,
-        epochs=cfg.train.epochs,
-        lr=cfg.train.lr,
-        lr_decay=cfg.train.lr_decay,
-        patience=cfg.train.patience,
-        optimizer=cfg.train.optimizer,
-        seed=args.seed,
-        conv_channels=tuple(cfg.net.conv_channels),
-        fc_widths=tuple(cfg.net.fc_widths),
-        pool_target=cfg.net.pool_target,
-        verbose=args.verbose,
-    )
-    dir_model, dist_model, history = train_heads(ds, train_cfg)
+    path = _dataset_path(args)
+    ds = load_dataset(path)
+    try:
+        dir_model, dist_model, history = train_heads(ds, cfg.train_config(args.seed, args.verbose))
+    except ValueError as exc:
+        # a dataset the heads cannot train on: no val split, or an M that
+        # net.pool_target does not divide
+        raise DatasetFormatError(f"cannot train on {path}: {exc}") from None
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_model(args.out_dir / DIRECTION_FILE, dir_model)
     save_model(args.out_dir / DISTANCE_FILE, dist_model)

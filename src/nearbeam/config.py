@@ -4,6 +4,11 @@ A config file has up to six sections (array, scenario, link, net, train,
 experiment); every key is optional and falls back to the preset it overlays.
 Unknown sections or keys are rejected by name rather than silently ignored.
 
+Every value is checked at load by the type that uses it (the scenario section
+is a :class:`ScenarioConfig`; array, train and net build :class:`ArrayConfig`
+and :class:`TrainConfig`); only checks no constructor owns live here. A bad
+value is a :class:`ConfigError` naming its section or key.
+
 Example::
 
     array:
@@ -21,12 +26,16 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import yaml
 
 from .dataset import split_sizes
 from .geometry import DEFAULT_WAVELENGTH, ArrayConfig, ScenarioConfig
+from .training import TrainConfig
+
+_TRAIN_DEFAULTS = TrainConfig()
 
 
 class ConfigError(Exception):
@@ -45,34 +54,28 @@ class ArraySection:
 
 
 @dataclass
-class ScenarioSection:
-    num_paths: int = 3
-    gain_variances: list = field(default_factory=lambda: [1.0, 0.01, 0.01])
-    distance_range: list = field(default_factory=lambda: [10.0, 60.0])
-    angle_range: list = field(default_factory=lambda: [-1.0, 1.0])
-
-
-@dataclass
 class LinkSection:
     train_snr_range_db: list = field(default_factory=lambda: [0.0, 20.0])
 
 
 @dataclass
 class NetSection:
-    conv_channels: list = field(default_factory=lambda: [64, 256])
-    fc_widths: list = field(default_factory=lambda: [1024, 1024, 512])
+    conv_channels: list = field(default_factory=lambda: list(_TRAIN_DEFAULTS.conv_channels))
+    fc_widths: list = field(default_factory=lambda: list(_TRAIN_DEFAULTS.fc_widths))
+    # TrainConfig's 1 is the paper's table; the presets keep 4 beam positions
+    # after pooling so the direction head sees where the strongest beam is
     pool_target: int = 4
 
 
 @dataclass
 class TrainSection:
     num_samples: int = 20000
-    batch_size: int = 125
-    epochs: int = 40
-    lr: float = 0.01
-    lr_decay: float = 0.95
-    patience: int = 10
-    optimizer: str = "adam"
+    batch_size: int = _TRAIN_DEFAULTS.batch_size
+    epochs: int = _TRAIN_DEFAULTS.epochs
+    lr: float = _TRAIN_DEFAULTS.lr
+    lr_decay: float = _TRAIN_DEFAULTS.lr_decay
+    patience: int = _TRAIN_DEFAULTS.patience
+    optimizer: str = _TRAIN_DEFAULTS.optimizer
     val_fraction: float = 0.1
     test_fraction: float = 0.1
 
@@ -94,7 +97,7 @@ class ExperimentSection:
 @dataclass
 class FullConfig:
     array: ArraySection = field(default_factory=ArraySection)
-    scenario: ScenarioSection = field(default_factory=ScenarioSection)
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     link: LinkSection = field(default_factory=LinkSection)
     net: NetSection = field(default_factory=NetSection)
     train: TrainSection = field(default_factory=TrainSection)
@@ -107,8 +110,14 @@ class FullConfig:
             antenna_spacing=self.array.antenna_spacing,
         )
 
-    def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(**dataclasses.asdict(self.scenario))
+    def train_config(self, seed: int, verbose: bool = False) -> TrainConfig:
+        """The train and net sections as the settings of one training run."""
+        t, n = self.train, self.net
+        return TrainConfig(batch_size=t.batch_size, epochs=t.epochs, lr=t.lr,
+                           lr_decay=t.lr_decay, patience=t.patience, optimizer=t.optimizer,
+                           seed=seed, conv_channels=tuple(n.conv_channels),
+                           fc_widths=tuple(n.fc_widths), pool_target=n.pool_target,
+                           verbose=verbose)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -130,22 +139,13 @@ def paper_scale_config() -> FullConfig:
     return cfg
 
 
-_SECTIONS = {
-    "array": ArraySection,
-    "scenario": ScenarioSection,
-    "link": LinkSection,
-    "net": NetSection,
-    "train": TrainSection,
-    "experiment": ExperimentSection,
-}
-
-
 def apply_overrides(cfg: FullConfig, data: dict) -> FullConfig:
     """Overlay a parsed config mapping onto ``cfg``, validating every key."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping of sections")
+    sections = {f.name for f in dataclasses.fields(cfg)}
     for section_name, section_data in data.items():
-        if section_name not in _SECTIONS:
+        if section_name not in sections:
             raise ConfigError(f"unknown config section '{section_name}'")
         if section_data is None:
             continue
@@ -153,6 +153,7 @@ def apply_overrides(cfg: FullConfig, data: dict) -> FullConfig:
             raise ConfigError(f"config section '{section_name}' must be a mapping")
         section = getattr(cfg, section_name)
         valid = {f.name for f in dataclasses.fields(section)}
+        values = {}
         for key, value in section_data.items():
             if key not in valid:
                 raise ConfigError(f"unknown config key '{section_name}.{key}'")
@@ -166,25 +167,42 @@ def apply_overrides(cfg: FullConfig, data: dict) -> FullConfig:
                 raise ConfigError(f"config key '{section_name}.{key}' must be a number")
             if isinstance(current, str) and not isinstance(value, str):
                 raise ConfigError(f"config key '{section_name}.{key}' must be a string")
-            if isinstance(current, list) and not isinstance(value, list):
+            if isinstance(current, (list, tuple)) and not isinstance(value, list):
                 raise ConfigError(f"config key '{section_name}.{key}' must be a list")
             if isinstance(current, float):
                 value = float(value)
-            setattr(section, key, value)
+            if isinstance(current, tuple):
+                value = tuple(value)
+            values[key] = value
+        setattr(cfg, section_name,
+                _checked(section_name, dataclasses.replace, section, **values))
     _validate(cfg)
     return cfg
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the ValueError or TypeError of a
+    constructor's own checks raised as a ConfigError naming ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def _validate(cfg: FullConfig) -> None:
-    a = cfg.array
-    if a.num_antennas < 1:
-        raise ConfigError("array.num_antennas must be >= 1")
+    a, e = cfg.array, cfg.experiment
+    _checked("array", cfg.array_config)
+    _checked("train/net", cfg.train_config, 0)
+    if a.num_rings < 1:
+        raise ConfigError(f"array.num_rings must be >= 1, got {a.num_rings}")
     if a.subarray_factor < 1 or a.num_antennas % a.subarray_factor != 0:
         raise ConfigError("array.subarray_factor must divide array.num_antennas")
-    if not 0 < a.r_min < a.r_max:
-        raise ConfigError("need 0 < array.r_min < array.r_max")
-    if len(cfg.scenario.gain_variances) != cfg.scenario.num_paths:
-        raise ConfigError("scenario.gain_variances must list one variance per path")
+    if not 0 < a.r_min < a.r_max < math.inf:
+        raise ConfigError("need 0 < array.r_min < array.r_max < inf")
+    snr = cfg.link.train_snr_range_db
+    if not (len(snr) == 2 and _finite_numbers(snr) and snr[0] <= snr[1]):
+        raise ConfigError(f"link.train_snr_range_db must be two finite numbers [lo, hi] "
+                          f"with lo <= hi, got {snr}")
     t = cfg.train
     if t.num_samples < 10:
         raise ConfigError("train.num_samples must be >= 10")
@@ -204,11 +222,17 @@ def _validate(cfg: FullConfig) -> None:
     num_wide = a.num_antennas // a.subarray_factor
     if num_wide % cfg.net.pool_target != 0:
         raise ConfigError("net.pool_target must divide the wide-beam count M")
-    if cfg.experiment.top_k_angles > a.num_antennas:
-        raise ConfigError("experiment.top_k_angles cannot exceed array.num_antennas")
-    if cfg.experiment.top_l_rings > a.num_rings:
-        raise ConfigError("experiment.top_l_rings cannot exceed array.num_rings")
-    e = cfg.experiment
+    if not (e.snr_grid_db and _finite_numbers(e.snr_grid_db)):
+        raise ConfigError(f"experiment.snr_grid_db must list finite numbers, got {e.snr_grid_db}")
+    for key in ("trials", "slot_per_beam", "total_slots"):
+        if getattr(e, key) < 1:
+            raise ConfigError(f"experiment.{key} must be >= 1, got {getattr(e, key)}")
+    if not 1 <= e.top_k_angles <= a.num_antennas:
+        raise ConfigError(f"experiment.top_k_angles must lie in 1..array.num_antennas "
+                          f"({a.num_antennas}), got {e.top_k_angles}")
+    if not 1 <= e.top_l_rings <= a.num_rings:
+        raise ConfigError(f"experiment.top_l_rings must lie in 1..array.num_rings "
+                          f"({a.num_rings}), got {e.top_l_rings}")
     # beams each scheme tests per trial
     beams = {
         "sweep": a.num_antennas * a.num_rings,
@@ -225,6 +249,10 @@ def _validate(cfg: FullConfig) -> None:
                 f"scheme '{scheme}' needs {e.slot_per_beam * beams[scheme]} slots, "
                 f"experiment.total_slots is {e.total_slots}"
             )
+
+
+def _finite_numbers(values) -> bool:
+    return all(type(v) in (int, float) and math.isfinite(v) for v in values)
 
 
 def load_config(path, base: FullConfig | None = None) -> FullConfig:

@@ -94,7 +94,6 @@ def run_experiment(
         raise ValueError(f"unknown stub mode {stub!r}")
 
     array_cfg = cfg.array_config()
-    scenario = cfg.scenario_config()
     polar = build_polar_codebook(array_cfg, cfg.array.num_rings, cfg.array.r_min, cfg.array.r_max)
     wide = build_wide_codebook(array_cfg, cfg.array.subarray_factor)
     narrow = build_narrow_codebook(array_cfg) if "farfield" in exp.schemes else None
@@ -106,7 +105,7 @@ def run_experiment(
             chan_rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, snr_idx, trial, 0])
             )
-            h = synth_channel(array_cfg, sample_paths(chan_rng, scenario))
+            h = synth_channel(array_cfg, sample_paths(chan_rng, cfg.scenario))
             i_star, s_star, n_star = sweep_oracle(polar, h)
             w_star = polar.codeword(i_star)
             meas_rng = np.random.default_rng(

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,12 +37,12 @@ class ArrayConfig:
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ValueError(f"num_antennas must be >= 1, got {self.num_antennas}")
-        if self.carrier_wavelength <= 0:
-            raise ValueError("carrier_wavelength must be positive")
         if self.antenna_spacing is None:
             object.__setattr__(self, "antenna_spacing", self.carrier_wavelength / 2.0)
-        if self.antenna_spacing <= 0:
-            raise ValueError("antenna_spacing must be positive")
+        for name in ("carrier_wavelength", "antenna_spacing"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, Real) and value > 0):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"need {self.num_paths} gain variances, got {len(self.gain_variances)}"
             )
+        if not all(v >= 0 for v in self.gain_variances):
+            raise ValueError(f"gain variances must be >= 0, got {self.gain_variances}")
         lo, hi = self.distance_range
         if not 0 < lo <= hi:
             raise ValueError(f"invalid distance_range {self.distance_range}")

@@ -80,9 +80,10 @@ class SGD:
             value -= self.lr * grad
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
 def make_optimizer(model, name: str = "adam", lr: float = 0.01):
-    if name == "adam":
-        return Adam(model, lr=lr)
-    if name == "sgd":
-        return SGD(model, lr=lr)
-    raise ValueError(f"unknown optimizer {name!r}")
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](model, lr=lr)

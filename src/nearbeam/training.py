@@ -12,11 +12,12 @@ exactly the validation loss recorded for that epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .dataset import Dataset
-from .net import build_model, cross_entropy_batch, encode_batch, make_optimizer
+from .net import OPTIMIZERS, build_model, cross_entropy_batch, encode_batch, make_optimizer
 
 EVAL_CHUNK = 1024
 
@@ -34,6 +35,23 @@ class TrainConfig:
     fc_widths: tuple[int, int, int] = (1024, 1024, 512)
     pool_target: int = 1
     verbose: bool = False
+
+    def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
+                             f"got {self.optimizer!r}")
+        for name, count in (("conv_channels", 2), ("fc_widths", 3)):
+            widths = getattr(self, name)
+            if len(widths) != count or not all(
+                    isinstance(w, Integral) and not isinstance(w, bool) and w >= 1
+                    for w in widths):
+                raise ValueError(f"{name} must be {count} positive integers, got {widths}")
+        for name in ("batch_size", "epochs", "patience", "pool_target"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "lr_decay"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

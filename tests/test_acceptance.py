@@ -157,30 +157,18 @@ def desk_run(tmp_path_factory):
     cfg = desk_scale_config()
     start = time.perf_counter()
     ds = generate_dataset(
-        cfg.array_config(), cfg.scenario_config(),
+        cfg.array_config(), cfg.scenario,
         cfg.array.num_rings, cfg.array.r_min, cfg.array.r_max,
         cfg.array.subarray_factor,
         num_samples=cfg.train.num_samples,
         base_seed=DESK_SEED,
         snr_range_db=tuple(cfg.link.train_snr_range_db),
     )
-    train_cfg = TrainConfig(
-        batch_size=cfg.train.batch_size,
-        epochs=cfg.train.epochs,
-        lr=cfg.train.lr,
-        lr_decay=cfg.train.lr_decay,
-        patience=cfg.train.patience,
-        seed=0,
-        conv_channels=tuple(cfg.net.conv_channels),
-        fc_widths=tuple(cfg.net.fc_widths),
-        pool_target=cfg.net.pool_target,
-    )
-    dir_model, dist_model, history = train_heads(ds, train_cfg)
+    dir_model, dist_model, history = train_heads(ds, cfg.train_config(seed=0))
 
     # fixed-SNR evaluation on the 2000 test-split channels, rebuilt from
     # their stored seeds; the wide-beam measurement is shared per channel
     array_cfg = cfg.array_config()
-    scenario = cfg.scenario_config()
     polar = build_polar_codebook(array_cfg, cfg.array.num_rings, cfg.array.r_min, cfg.array.r_max)
     wide = build_wide_codebook(array_cfg, cfg.array.subarray_factor)
     link10 = link_from_snr_db(10.0)
@@ -189,7 +177,7 @@ def desk_run(tmp_path_factory):
              "orig0": [], "imp0": []}
     for i in ds.test_indices:
         srng = np.random.default_rng(int(ds.seeds[i]))
-        h = synth_channel(array_cfg, sample_paths(srng, scenario))
+        h = synth_channel(array_cfg, sample_paths(srng, cfg.scenario))
         w_star = polar.codeword(sweep_oracle(polar, h)[0])
         yw = measure_wide(wide, h, link10, rng_eval)
 
@@ -220,6 +208,7 @@ def desk_run(tmp_path_factory):
     }
 
 
+@pytest.mark.desk_run
 def test_criterion_5_desk_scale_learning(desk_run, capsys):
     ds = desk_run["dataset"]
     report = evaluate_heads(desk_run["dir_model"], desk_run["dist_model"], ds, split="val")
@@ -247,6 +236,7 @@ def test_criterion_5_desk_scale_learning(desk_run, capsys):
     assert ok_a and ok_b and ok_c and ok_d and ok_t
 
 
+@pytest.mark.desk_run
 def test_criterion_6_zero_noise_dominance(desk_run, capsys):
     g = desk_run["gains"]
     diffs = g["imp0"] - g["orig0"]
@@ -311,6 +301,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
 # criterion 8: G_N bounded by the oracle; overhead ordering of rates
 # --------------------------------------------------------------------------
 
+@pytest.mark.desk_run
 def test_criterion_8_metric_sanity(desk_run, capsys):
     cfg = desk_scale_config()
     cfg.experiment.trials = 100

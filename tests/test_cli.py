@@ -3,7 +3,8 @@ import pytest
 import nearbeam.cli as cli_module
 from nearbeam.cli import main
 from nearbeam.codebook import import_codebook
-from nearbeam.dataset import load_dataset
+from nearbeam.dataset import generate_dataset, load_dataset, save_dataset
+from nearbeam.geometry import ArrayConfig, ScenarioConfig
 from nearbeam.training import EpochStats, TrainHistory
 
 
@@ -104,6 +105,30 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: train.") and "Traceback" not in err
         assert not (tmp_path / "dataset.nbds").exists()
+
+    def test_unknown_optimizer_fails_before_the_dataset_is_written(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("array: {num_antennas: 16}\n"
+                        "train: {num_samples: 40, optimizer: sgdd}\n")
+        code = main(["gen-dataset", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train/net: optimizer") and "'sgdd'" in err
+        assert not (tmp_path / "dataset.nbds").exists()
+
+    def test_dataset_without_val_split_is_an_error_message(self, tiny_cfg, tmp_path, capsys):
+        # generate_dataset writes such a file; the CLI's own configs cannot
+        ds = generate_dataset(ArrayConfig(16), ScenarioConfig(), 3, 10.0, 60.0, 4,
+                              num_samples=40, base_seed=1, val_fraction=0.0)
+        path = tmp_path / "no_val.nbds"
+        save_dataset(path, ds)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(tiny_cfg), "--dataset", str(path),
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot train on ") and "val split is empty" in err
+        assert not out.exists()
 
 
 class TestPipeline:

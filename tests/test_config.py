@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from nearbeam.config import (
@@ -7,6 +11,45 @@ from nearbeam.config import (
     load_config,
     paper_scale_config,
 )
+from nearbeam.training import TrainConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# bad values and the ConfigError each must raise at load: the scenario, array
+# and train/net ones come from the checks of the types built from them
+BAD_VALUES = [
+    ({"scenario": {"angle_range": [0.5, -0.5]}}, r"scenario: invalid angle_range"),
+    ({"scenario": {"distance_range": [-5, 60]}}, r"scenario: invalid distance_range"),
+    ({"scenario": {"num_paths": 0, "gain_variances": []}}, r"scenario: num_paths"),
+    ({"scenario": {"gain_variances": [1.0, -0.01, 0.01]}}, r"scenario: gain variances"),
+    ({"array": {"carrier_wavelength": -1.0}}, r"array: carrier_wavelength"),
+    ({"array": {"antenna_spacing": "abc"}}, r"array: antenna_spacing"),
+    ({"array": {"num_rings": 0}, "experiment": {"top_l_rings": 0}},
+     r"array\.num_rings must be >= 1"),
+    ({"train": {"optimizer": "sgdd"}}, r"train/net: optimizer .*'sgdd'"),
+    ({"train": {"batch_size": 0}}, r"train/net: batch_size must be >= 1"),
+    ({"train": {"epochs": 0}}, r"train/net: epochs must be >= 1"),
+    ({"train": {"patience": 0}}, r"train/net: patience must be >= 1"),
+    ({"train": {"lr": 0.0}}, r"train/net: lr must be positive"),
+    ({"train": {"lr_decay": -0.95}}, r"train/net: lr_decay must be positive"),
+    ({"net": {"conv_channels": [8]}}, r"train/net: conv_channels must be 2"),
+    ({"net": {"fc_widths": [8, 8]}}, r"train/net: fc_widths must be 3"),
+    ({"net": {"fc_widths": [8, "8", 8]}}, r"train/net: fc_widths must be 3"),
+    ({"net": {"pool_target": 0}}, r"train/net: pool_target must be >= 1"),
+    ({"array": {"r_max": float("inf")}}, r"array\.r_max < inf"),
+    ({"experiment": {"snr_grid_db": ["abc"]}}, r"experiment\.snr_grid_db must list finite"),
+    ({"experiment": {"snr_grid_db": []}}, r"experiment\.snr_grid_db must list finite"),
+    ({"experiment": {"trials": 0}}, r"experiment\.trials must be >= 1"),
+    ({"experiment": {"schemes": ["random"], "total_slots": 0}},
+     r"experiment\.total_slots must be >= 1"),
+    ({"experiment": {"top_k_angles": 0}},
+     r"experiment\.top_k_angles must lie in 1\.\.array\.num_antennas"),
+    ({"experiment": {"top_l_rings": 0}},
+     r"experiment\.top_l_rings must lie in 1\.\.array\.num_rings"),
+    ({"link": {"train_snr_range_db": [20, 0]}}, r"link\.train_snr_range_db .*\[20, 0\]"),
+    ({"link": {"train_snr_range_db": [0.0, float("inf")]}}, r"link\.train_snr_range_db"),
+    ({"link": {"train_snr_range_db": [0.0]}}, r"link\.train_snr_range_db"),
+]
 
 
 class TestPresets:
@@ -28,6 +71,14 @@ class TestPresets:
         assert cfg.array.num_antennas * cfg.array.num_rings == 2560
         m = cfg.array.num_antennas // cfg.array.subarray_factor
         assert m + cfg.experiment.top_k_angles * cfg.experiment.top_l_rings == 148
+
+    def test_train_config_pinned(self):
+        net = dict(conv_channels=(64, 256), fc_widths=(1024, 1024, 512), pool_target=4)
+        schedule = dict(epochs=40, lr=0.01, lr_decay=0.95, patience=10, optimizer="adam")
+        assert desk_scale_config().train_config(7) == TrainConfig(
+            batch_size=125, seed=7, **schedule, **net)
+        assert paper_scale_config().train_config(7, verbose=True) == TrainConfig(
+            batch_size=1000, seed=7, verbose=True, **schedule, **net)
 
     def test_array_config_spacing_defaults_to_half_wavelength(self):
         cfg = desk_scale_config().array_config()
@@ -59,6 +110,10 @@ class TestOverrides:
         assert cfg.train.lr == 0.02
 
     def test_cross_field_validation(self):
+        with pytest.raises(ConfigError, match="array: num_antennas must be >= 1"):
+            apply_overrides(desk_scale_config(), {"array": {"num_antennas": 0}})
+        with pytest.raises(ConfigError, match="scenario: need 2 gain variances"):
+            apply_overrides(desk_scale_config(), {"scenario": {"num_paths": 2}})
         with pytest.raises(ConfigError, match="subarray_factor"):
             apply_overrides(desk_scale_config(), {"array": {"num_antennas": 30}})
         with pytest.raises(ConfigError, match="top_k_angles"):
@@ -91,6 +146,12 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=message):
             apply_overrides(desk_scale_config(), {"train": train})
 
+    @pytest.mark.parametrize("data, message", BAD_VALUES, ids=[
+        "+".join(f"{s}.{k}" for s, keys in data.items() for k in keys) for data, _ in BAD_VALUES])
+    def test_bad_value_rejected_at_load(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(desk_scale_config(), data)
+
     def test_int_rejects_bool_and_float(self):
         with pytest.raises(ConfigError):
             apply_overrides(desk_scale_config(), {"train": {"epochs": True}})
@@ -116,3 +177,14 @@ class TestLoadConfig:
     def test_round_trips_to_dict(self):
         d = desk_scale_config().to_dict()
         assert set(d) == {"array", "scenario", "link", "net", "train", "experiment"}
+
+    def test_readme_config_block_is_the_desk_preset(self, tmp_path):
+        section = README.read_text().split("## Config file", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+
+        def plain(cfg):
+            return json.loads(json.dumps(cfg.to_dict()))
+
+        assert plain(load_config(path)) == plain(desk_scale_config())

@@ -199,7 +199,7 @@ class TestRunExperiment:
                 def rng(*tail):
                     seq = np.random.SeedSequence([7, snr_idx, trial, *tail])
                     return np.random.default_rng(seq)
-                h = synth_channel(array_cfg, sample_paths(rng(0), cfg.scenario_config()))
+                h = synth_channel(array_cfg, sample_paths(rng(0), cfg.scenario))
                 yw = measure_wide(wide, h, link, rng(1))
                 w_star = polar.codeword(sweep_oracle(polar, h)[0])
                 for res in (original_scheme(yw, dir_head, dist_head, polar),
