@@ -7,11 +7,9 @@ the exhaustive-sweep oracle.
 """
 
 from .codebook import (
-    NarrowCodebook,
     PolarCodebook,
     WideCodebook,
     angle_grid,
-    build_narrow_codebook,
     build_polar_codebook,
     build_wide_codebook,
     codeword_index,

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .codebook import build_narrow_codebook, build_polar_codebook, build_wide_codebook, export_codebook
+from .codebook import build_polar_codebook, build_wide_codebook, export_codebook
 from .config import (ConfigError, FullConfig, apply_overrides, desk_scale_config, load_config,
                      paper_scale_config)
 from .dataset import DatasetFormatError, export_labels_csv, generate_dataset, load_dataset, save_dataset
@@ -51,6 +51,30 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> FullConfig:
 
 def _dataset_path(args) -> Path:
     return args.dataset if args.dataset is not None else args.out_dir / DATASET_FILE
+
+
+def _load_heads(models_dir: Path, num_wide: int, num_angles: int, num_rings: int):
+    """The direction and distance heads in ``models_dir``, each checked
+    against the M measurements it reads and the N angles or S rings it
+    classifies."""
+    heads = []
+    for name, classes, symbol in ((DIRECTION_FILE, num_angles, "N"),
+                                  (DISTANCE_FILE, num_rings, "S")):
+        path = models_dir / name
+        model = load_model(path)
+        if (model.input_length, model.head_size) != (num_wide, classes):
+            raise NetModelError(f"{path}: head reads {model.input_length} measurements into "
+                                f"{model.head_size} classes, expected M={num_wide} and "
+                                f"{symbol}={classes}")
+        heads.append(model)
+    return heads
+
+
+def _top_k(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"k must be >= 1, got {k}")
+    return k
 
 
 def cmd_gen_dataset(parser, args) -> int:
@@ -105,8 +129,8 @@ def cmd_train(parser, args) -> int:
 def cmd_eval_heads(parser, args) -> int:
     _resolve_config(parser, args)
     ds = load_dataset(_dataset_path(args))
-    dir_model = load_model(args.models_dir / DIRECTION_FILE)
-    dist_model = load_model(args.models_dir / DISTANCE_FILE)
+    dir_model, dist_model = _load_heads(args.models_dir, ds.num_wide, ds.num_angles,
+                                        ds.num_rings)
     report = evaluate_heads(dir_model, dist_model, ds, split=args.split,
                             ks=tuple(args.top_k))
     text = json.dumps(report, indent=2)
@@ -124,8 +148,9 @@ def _run_experiment_cmd(parser, args, schemes_override=None) -> int:
     dir_model = dist_model = None
     if args.stub is None and any(s in ("original", "improved") for s in cfg.experiment.schemes):
         models_dir = args.models_dir if args.models_dir is not None else args.out_dir
-        dir_model = load_model(models_dir / DIRECTION_FILE)
-        dist_model = load_model(models_dir / DISTANCE_FILE)
+        a = cfg.array
+        dir_model, dist_model = _load_heads(models_dir, a.num_antennas // a.subarray_factor,
+                                            a.num_antennas, a.num_rings)
     records, summary = run_experiment(
         cfg, master_seed=args.seed, dir_model=dir_model, dist_model=dist_model,
         stub=args.stub, out_dir=args.out_dir,
@@ -155,10 +180,10 @@ def cmd_export_codebook(parser, args) -> int:
     if args.kind == "polar":
         book = build_polar_codebook(array_cfg, cfg.array.num_rings,
                                     cfg.array.r_min, cfg.array.r_max)
-    elif args.kind == "narrow":
-        book = build_narrow_codebook(array_cfg)
     else:
-        book = build_wide_codebook(array_cfg, cfg.array.subarray_factor)
+        # the narrow codebook is the far-field codebook at T = 1
+        t = 1 if args.kind == "narrow" else cfg.array.subarray_factor
+        book = build_wide_codebook(array_cfg, t)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"codebook_{args.kind}.nbcb"
     export_codebook(path, book)
@@ -190,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, help="dataset file (default OUT_DIR/dataset.nbds)")
     p.add_argument("--models-dir", type=Path, default=Path("out"))
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--top-k", type=int, nargs="+", default=[1, 5])
+    p.add_argument("--top-k", type=_top_k, nargs="+", default=[1, 5])
     p.set_defaults(func=cmd_eval_heads)
 
     for name, func, help_text in (

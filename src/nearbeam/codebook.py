@@ -1,4 +1,4 @@
-"""Polar-domain near-field codebook and far-field narrow/wide codebooks.
+"""Polar-domain near-field codebook and the far-field codebook.
 
 The polar codebook samples the sine-angle axis uniformly in N parts and the
 distance axis in S rings placed uniformly in inverse distance; codeword
@@ -11,9 +11,11 @@ for bit. Where the angle grid is exactly symmetric (N <= 4 or a power of
 two) the build computes the first ceil(N/2) angles of each ring and copies
 the rest; on other grids it computes every row.
 
-Far-field codewords use the exp(+j...) phase sign so that w^H h aligns
-phases against channels synthesized with exp(-j...); wide codewords excite
-only the first N/T antennas.
+The far-field codebook at subarray factor T has M = N/T DFT beams on the
+first N/T antennas: the wide beams of the network input at the configured
+T, and the N narrow beams of the far-field sweep at T = 1. Its codewords use
+the exp(+j...) phase sign so that w^H h aligns phases against channels
+synthesized with exp(-j...).
 """
 
 from __future__ import annotations
@@ -118,21 +120,9 @@ class PolarCodebook:
 
 
 @dataclass(frozen=True)
-class NarrowCodebook:
-    """Far-field DFT codebook: N unit-norm beams on the angle grid."""
-
-    array: ArrayConfig
-    angles: np.ndarray     # (N,)
-    codewords: np.ndarray  # (N, N) complex
-
-    @property
-    def size(self) -> int:
-        return self.codewords.shape[0]
-
-
-@dataclass(frozen=True)
 class WideCodebook:
-    """Far-field wide-beam codebook: M = N/T beams on the first N/T antennas."""
+    """Every beam of a far-field codebook: M = N/T beams on the first N/T
+    antennas; the wide beams at T > 1, the N narrow DFT beams at T = 1."""
 
     array: ArrayConfig
     subarray_factor: int   # T
@@ -177,18 +167,11 @@ def build_polar_codebook(
                          codewords=codewords.reshape(num_rings * n, n))
 
 
-def build_narrow_codebook(cfg: ArrayConfig) -> NarrowCodebook:
-    """N narrow far-field beams; beam n has entries exp(+j*pi*k*theta_n)/sqrt(N)."""
-    n = cfg.num_antennas
-    grid = angle_grid(n)
-    words = np.exp(1j * np.pi * np.arange(n)[None, :] * grid[:, None]) / np.sqrt(n)
-    return NarrowCodebook(array=cfg, angles=grid, codewords=words)
-
-
 def build_wide_codebook(cfg: ArrayConfig, subarray_factor: int) -> WideCodebook:
-    """M = N/T wide beams on the first M antennas, zero elsewhere; active
-    entries exp(+j*pi*k*theta_m) have modulus sqrt(T/N), so each beam is
-    unit norm."""
+    """Every beam of a far-field codebook: M = N/T beams on the first M
+    antennas, zero elsewhere; active entries exp(+j*pi*k*theta_m) have
+    modulus sqrt(T/N), so each beam is unit norm. T = 1 gives the N narrow
+    beams that cover the whole array."""
     n, t = cfg.num_antennas, subarray_factor
     if t < 1 or n % t != 0:
         raise ValueError(f"subarray factor {t} must divide num_antennas {n}")
@@ -203,21 +186,21 @@ def build_wide_codebook(cfg: ArrayConfig, subarray_factor: int) -> WideCodebook:
 # --- binary import/export -------------------------------------------------
 #
 # Layout (little-endian): magic 'NBCB', u32 version, u32 kind, u32 N,
-# u32 S (polar) / M (wide) / 0 (narrow), u32 T (wide) / 0, f64 wavelength,
+# u32 S (polar) / M (far-field), u32 T (far-field) / 0, f64 wavelength,
 # f64 spacing, then the codeword matrix row-major as interleaved re/im f64.
 # Polar files append the (S, N) ring-distance grid as plain f64 so the full
-# codebook object round-trips bit-exactly.
+# codebook object round-trips bit-exactly. Kind 1 (narrow, S/M and T fields
+# 0) is no longer written; older files of that kind read back as the T = 1
+# far-field codebook.
 
 _HEADER = struct.Struct("<4sIIIIIdd")
 
 
-def export_codebook(path, book: PolarCodebook | NarrowCodebook | WideCodebook) -> None:
+def export_codebook(path, book: PolarCodebook | WideCodebook) -> None:
     """Write a codebook to ``path`` in the package binary format."""
     cfg = book.array
     if isinstance(book, PolarCodebook):
         kind, aux1, aux2 = _KIND_POLAR, book.num_rings, 0
-    elif isinstance(book, NarrowCodebook):
-        kind, aux1, aux2 = _KIND_NARROW, 0, 0
     elif isinstance(book, WideCodebook):
         kind, aux1, aux2 = _KIND_WIDE, book.num_wide, book.subarray_factor
     else:
@@ -239,8 +222,9 @@ def export_codebook(path, book: PolarCodebook | NarrowCodebook | WideCodebook) -
             f.write(np.ascontiguousarray(book.ring_distances, dtype="<f8").tobytes())
 
 
-def import_codebook(path) -> PolarCodebook | NarrowCodebook | WideCodebook:
-    """Read a codebook written by :func:`export_codebook`.
+def import_codebook(path) -> PolarCodebook | WideCodebook:
+    """Read a codebook written by :func:`export_codebook`, or a kind-1 narrow
+    file of an older export, which returns as the T = 1 far-field codebook.
 
     A header that no exported codebook has (N = 0, a polar file without
     rings, a wide file whose T does not divide N or whose M is not N/T, a
@@ -288,5 +272,5 @@ def import_codebook(path) -> PolarCodebook | NarrowCodebook | WideCodebook:
         return PolarCodebook(array=cfg, angles=angle_grid(n_ant), ring_distances=rings,
                              codewords=words)
     if kind == _KIND_NARROW:
-        return NarrowCodebook(array=cfg, angles=angle_grid(n_ant), codewords=words)
+        aux1, aux2 = n_ant, 1
     return WideCodebook(array=cfg, subarray_factor=aux2, angles=angle_grid(aux1), codewords=words)

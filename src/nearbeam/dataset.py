@@ -214,10 +214,10 @@ def save_dataset(path, ds: Dataset) -> None:
         f.write(records.tobytes())
 
 
-def load_dataset(path, verify_fraction: float = 0.01) -> Dataset:
-    """Read a dataset file; checks every record's values, then spot-checks a
-    fraction of labels against the exhaustive sweep recomputed from the
-    stored per-sample seeds."""
+def load_dataset(path) -> Dataset:
+    """Read a dataset file; checks every record's values, then spot-checks 1%
+    of the samples (labels, SNR and measurements) against their regeneration
+    from the stored per-sample seeds."""
     with open(path, "rb") as f:
         raw = f.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -259,8 +259,7 @@ def load_dataset(path, verify_fraction: float = 0.01) -> Dataset:
         config=config,
     )
     _check_records(ds)
-    if verify_fraction > 0:
-        spot_check_labels(ds, fraction=verify_fraction)
+    spot_check_labels(ds)
     return ds
 
 
@@ -311,7 +310,8 @@ def _check_records(ds: Dataset) -> None:
 
 def spot_check_labels(ds: Dataset, fraction: float = 0.01) -> int:
     """Regenerate an evenly spaced subset of samples from their seeds and
-    compare the stored labels; returns the number checked."""
+    compare the stored labels, SNR and measurements; returns the number
+    checked."""
     count = max(1, int(round(ds.num_samples * fraction)))
     idx = np.unique(np.linspace(0, ds.num_samples - 1, count).astype(int))
     array_cfg, scenario = _generation_configs(ds.config)
@@ -326,7 +326,7 @@ def spot_check_labels(ds: Dataset, fraction: float = 0.01) -> int:
         values, n_star, s_star, snr_db = generate_sample(
             ds.seeds[i], scenario, polar, wide, snr_range
         )
-        if (n_star != ds.label_n[i] or s_star != ds.label_s[i]
+        if (n_star != ds.label_n[i] or s_star != ds.label_s[i] or snr_db != ds.snr_db[i]
                 or not np.allclose(values, ds.yw[i], rtol=_YW_RTOL, atol=0.0)):
             raise DatasetFormatError(f"sample {i} does not reproduce from its seed")
     return len(idx)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import build_narrow_codebook, build_polar_codebook, build_wide_codebook
+from .codebook import build_polar_codebook, build_wide_codebook
 from .config import ExperimentSection, FullConfig
 from .geometry import sample_paths, synth_channel
 from .measurement import achievable_rate, link_from_snr_db, measure_wide, sweep_oracle
@@ -96,7 +96,7 @@ def run_experiment(
     array_cfg = cfg.array_config()
     polar = build_polar_codebook(array_cfg, cfg.array.num_rings, cfg.array.r_min, cfg.array.r_max)
     wide = build_wide_codebook(array_cfg, cfg.array.subarray_factor)
-    narrow = build_narrow_codebook(array_cfg) if "farfield" in exp.schemes else None
+    narrow = build_wide_codebook(array_cfg, 1) if "farfield" in exp.schemes else None
 
     records: list[TrialRecord] = []
     for snr_idx, snr_db in enumerate(exp.snr_grid_db):

@@ -65,7 +65,8 @@ def measure(
 def measure_wide(
     wide: WideCodebook, h: np.ndarray, link: LinkConfig, rng: np.random.Generator
 ) -> MeasurementVector:
-    """Test all M wide beams in sequence, independent noise per beam."""
+    """Test every beam of a far-field codebook in sequence, independent
+    noise per beam."""
     values = np.array(
         [measure(wide.codewords[m], h, link, rng) for m in range(wide.num_wide)],
         dtype=np.complex128,

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import NarrowCodebook, PolarCodebook
-from .measurement import LinkConfig, MeasurementVector, measure, sweep_oracle
+from .codebook import PolarCodebook, WideCodebook
+from .measurement import LinkConfig, MeasurementVector, measure, measure_wide, sweep_oracle
 
 
 @dataclass
@@ -138,16 +138,15 @@ def random_baseline(book: PolarCodebook, rng: np.random.Generator) -> SchemeResu
 
 
 def far_field_baseline(
-    narrow: NarrowCodebook, h: np.ndarray, link: LinkConfig, rng: np.random.Generator
+    narrow: WideCodebook, h: np.ndarray, link: LinkConfig, rng: np.random.Generator
 ) -> SchemeResult:
-    """Exhaustive noisy sweep of all N far-field narrow beams."""
-    meas = np.array([
-        measure(narrow.codewords[n], h, link, rng) for n in range(narrow.size)
-    ])
+    """Exhaustive noisy sweep of every beam of a far-field codebook: the N
+    narrow beams of ``build_wide_codebook(cfg, 1)``."""
+    meas = measure_wide(narrow, h, link, rng).values
     n_star = int(np.argmax(np.abs(meas))) + 1
     return SchemeResult(
         index=n_star,
         codeword=narrow.codewords[n_star - 1],
-        beams_tested=narrow.size,
+        beams_tested=narrow.num_wide,
         aux={"measurements": meas},
     )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import nearbeam.cli as cli_module
@@ -5,6 +6,7 @@ from nearbeam.cli import main
 from nearbeam.codebook import import_codebook
 from nearbeam.dataset import generate_dataset, load_dataset, save_dataset
 from nearbeam.geometry import ArrayConfig, ScenarioConfig
+from nearbeam.net import build_model, save_model
 from nearbeam.training import EpochStats, TrainHistory
 
 
@@ -35,6 +37,16 @@ def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY_YAML)
     return path
+
+
+def _save_heads(models_dir, num_wide, num_angles, num_rings):
+    """Untrained heads of the given sizes, small enough to build at once."""
+    models_dir.mkdir(parents=True, exist_ok=True)
+    for name, classes in (("direction_model.nbnm", num_angles),
+                          ("distance_model.nbnm", num_rings)):
+        model = build_model(num_wide, classes, np.random.default_rng(0),
+                            conv_channels=(2, 2), fc_widths=(4, 4, 4))
+        save_model(models_dir / name, model)
 
 
 class TestArgumentHandling:
@@ -77,6 +89,39 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checksum mismatch" in err
 
+
+    def test_heads_of_another_array_are_an_error_message(self, tmp_path, capsys):
+        # heads for N=16 (M=4, S=3) against the desk preset (M=16, N=64, S=5)
+        models = tmp_path / "models"
+        _save_heads(models, num_wide=4, num_angles=16, num_rings=3)
+        out = tmp_path / "out"
+        code = main(["run-experiment", "--desk-scale", "--models-dir", str(models),
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "direction_model.nbnm" in err
+        assert "expected M=16 and N=64" in err
+        assert not out.exists()
+
+    def test_heads_disagreeing_with_the_dataset_are_an_error_message(self, tiny_cfg, tmp_path,
+                                                                     capsys):
+        args = ["--config", str(tiny_cfg), "--out-dir", str(tmp_path)]
+        assert main(["gen-dataset", *args]) == 0
+        _save_heads(tmp_path, num_wide=4, num_angles=16, num_rings=5)  # the dataset has S=3
+        capsys.readouterr()
+        assert main(["eval-heads", *args, "--models-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "distance_model.nbnm" in err
+        assert "expected M=4 and S=3" in err
+
+    def test_top_k_below_one_is_a_usage_error(self, tmp_path, capsys):
+        # rejected while parsing, before the (missing) dataset is read
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-heads", "--desk-scale", "--dataset", str(tmp_path / "none.nbds"),
+                  "--models-dir", str(tmp_path), "--top-k", "1", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--top-k" in err and "k must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("experiment", [
         "{total_slots: 20}",

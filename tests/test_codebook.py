@@ -5,8 +5,8 @@ import pytest
 from nearbeam import codebook
 from nearbeam.codebook import (
     CodebookFormatError,
+    WideCodebook,
     angle_grid,
-    build_narrow_codebook,
     build_polar_codebook,
     build_wide_codebook,
     codeword_index,
@@ -115,7 +115,7 @@ class TestPolarCodebook:
     def test_far_field_limit_matches_narrow(self):
         cfg = ArrayConfig(4)
         book = build_polar_codebook(cfg, 1, 1e5, 1e6)
-        narrow = build_narrow_codebook(cfg).codewords
+        narrow = build_wide_codebook(cfg, 1).codewords
         for n in range(1, 5):
             corr = abs(np.vdot(book.codeword(n), narrow[n - 1]))
             assert corr >= 0.999
@@ -124,18 +124,18 @@ class TestPolarCodebook:
 class TestNarrowCodebook:
     def test_boresight_beam_is_constant(self):
         cfg = ArrayConfig(5)  # odd N puts a grid point exactly at sin(theta)=0
-        w = build_narrow_codebook(cfg).codewords[2]
+        w = build_wide_codebook(cfg, 1).codewords[2]
         npt.assert_allclose(w, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
 
     def test_direct_substitution_n2(self):
         cfg = ArrayConfig(2)
-        w = build_narrow_codebook(cfg).codewords[1]  # grid angle +0.5
+        w = build_wide_codebook(cfg, 1).codewords[1]  # grid angle +0.5
         npt.assert_allclose(w, [1 / np.sqrt(2), np.exp(1j * np.pi / 2) / np.sqrt(2)], atol=1e-15)
 
     def test_grid_search_peaks_at_own_angle(self):
         cfg = ArrayConfig(16)
         grid = angle_grid(16)
-        book = build_narrow_codebook(cfg)
+        book = build_wide_codebook(cfg, 1)
         for n in (1, 5, 9, 16):
             w = book.codewords[n - 1]
             # far-field channel vectors at every grid angle, channel sign convention
@@ -143,7 +143,7 @@ class TestNarrowCodebook:
             assert int(np.argmax(corr)) == n - 1
 
     def test_unit_norm(self):
-        book = build_narrow_codebook(ArrayConfig(32))
+        book = build_wide_codebook(ArrayConfig(32), 1)
         npt.assert_allclose(np.linalg.norm(book.codewords, axis=1), 1.0, atol=1e-12)
 
 
@@ -193,7 +193,7 @@ class TestWideCodebook:
             return above.max() - above.min()
 
         wide = build_wide_codebook(cfg, t).codewords[7]   # wide beam 8 of 16
-        narrow = build_narrow_codebook(cfg).codewords[29]  # interior narrow beam
+        narrow = build_wide_codebook(cfg, 1).codewords[29]  # interior narrow beam
         ratio = half_power_width(wide, -1 + 15 / 16) / half_power_width(narrow, angle_grid(64)[29])
         assert t * 0.8 <= ratio <= t * 1.2
 
@@ -211,14 +211,30 @@ class TestBinaryRoundTrip:
 
     def test_narrow_and_wide_round_trip(self, tmp_path):
         cfg = ArrayConfig(8)
-        for book in (build_narrow_codebook(cfg), build_wide_codebook(cfg, 2)):
+        for book in (build_wide_codebook(cfg, 1), build_wide_codebook(cfg, 2)):
             path = tmp_path / "book.nbcb"
             export_codebook(path, book)
             loaded = import_codebook(path)
             assert np.array_equal(loaded.codewords, book.codewords)
 
+    def test_narrow_is_the_far_field_codebook_at_t1(self, tmp_path):
+        # the narrow codebook is written as kind 2 with M = N and T = 1, and
+        # a legacy kind-1 file of the same codewords reads back the same
+        cfg = ArrayConfig(8)
+        book = build_wide_codebook(cfg, 1)
+        path = tmp_path / "book.nbcb"
+        export_codebook(path, book)
+        assert codebook._HEADER.unpack_from(path.read_bytes())[2:6] == (2, 8, 8, 1)
+        for kind in ("wide", "narrow"):
+            _export(path, kind, book)
+            loaded = import_codebook(path)
+            assert isinstance(loaded, WideCodebook)
+            assert (loaded.array, loaded.subarray_factor, loaded.num_wide) == (cfg, 1, 8)
+            assert np.array_equal(loaded.angles, book.angles)
+            assert loaded.codewords.tobytes() == book.codewords.tobytes()
+
     def test_truncated_file_rejected(self, tmp_path):
-        book = build_narrow_codebook(ArrayConfig(8))
+        book = build_wide_codebook(ArrayConfig(8), 1)
         path = tmp_path / "book.nbcb"
         export_codebook(path, book)
         raw = path.read_bytes()
@@ -227,7 +243,7 @@ class TestBinaryRoundTrip:
             import_codebook(path)
 
     def test_bad_magic_and_version(self, tmp_path):
-        book = build_narrow_codebook(ArrayConfig(4))
+        book = build_wide_codebook(ArrayConfig(4), 1)
         path = tmp_path / "book.nbcb"
         export_codebook(path, book)
         raw = bytearray(path.read_bytes())
@@ -251,8 +267,17 @@ def _rewrite_header(path, **changes):
     path.write_bytes(codebook._HEADER.pack(*header.values()) + raw[codebook._HEADER.size:])
 
 
+def _export(path, kind, book):
+    """Export ``book``; kind "narrow" rewrites its T = 1 export into the
+    kind-1 narrow file that older exports wrote (S/M and T fields 0)."""
+    export_codebook(path, book)
+    if kind == "narrow":
+        _rewrite_header(path, kind=1, aux1=0, aux2=0)
+
+
 class TestHeaderChecks:
-    """Headers that no exported codebook has are rejected by name."""
+    """Headers that no exported codebook has are rejected by name; "narrow"
+    cases start from a legacy kind-1 file."""
 
     @pytest.mark.parametrize("kind,changes,match", [
         ("narrow", {"n": 0}, "num_antennas"),
@@ -271,10 +296,10 @@ class TestHeaderChecks:
     def test_bad_header_rejected(self, tmp_path, kind, changes, match):
         cfg = ArrayConfig(16)
         book = {"polar": build_polar_codebook(cfg, 3, 10.0, 60.0),
-                "narrow": build_narrow_codebook(cfg),
+                "narrow": build_wide_codebook(cfg, 1),
                 "wide": build_wide_codebook(cfg, 4)}[kind]
         path = tmp_path / "book.nbcb"
-        export_codebook(path, book)
+        _export(path, kind, book)
         _rewrite_header(path, **changes)
         with pytest.raises(CodebookFormatError, match=match):
             import_codebook(path)
@@ -283,10 +308,10 @@ class TestHeaderChecks:
     def test_trailing_bytes_rejected(self, tmp_path, kind):
         cfg = ArrayConfig(8)
         book = {"polar": build_polar_codebook(cfg, 2, 10.0, 60.0),
-                "narrow": build_narrow_codebook(cfg),
+                "narrow": build_wide_codebook(cfg, 1),
                 "wide": build_wide_codebook(cfg, 2)}[kind]
         path = tmp_path / "book.nbcb"
-        export_codebook(path, book)
+        _export(path, kind, book)
         path.write_bytes(path.read_bytes() + bytes(1))
         with pytest.raises(CodebookFormatError, match="after the codebook payload"):
             import_codebook(path)

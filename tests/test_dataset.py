@@ -121,7 +121,7 @@ class TestRoundTrip:
         ds = small_dataset()
         path = tmp_path / "ds.nbds"
         save_dataset(path, ds)
-        loaded = load_dataset(path, verify_fraction=0.1)
+        loaded = load_dataset(path)
         npt.assert_array_equal(loaded.yw, ds.yw)
         npt.assert_array_equal(loaded.label_n, ds.label_n)
         npt.assert_array_equal(loaded.label_s, ds.label_s)
@@ -136,13 +136,24 @@ class TestRoundTrip:
         save_dataset(p2, small_dataset(seed=9))
         assert p1.read_bytes() == p2.read_bytes()
 
+    # the 1% spot check of 20 samples regenerates sample 0 only
     def test_tampered_label_caught(self, tmp_path):
         ds = small_dataset(num_samples=20)
-        ds.label_n[3] = ds.label_n[3] % 16 + 1
+        ds.label_n[0] = ds.label_n[0] % 16 + 1
         path = tmp_path / "ds.nbds"
         save_dataset(path, ds)
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path, verify_fraction=1.0)
+        with pytest.raises(DatasetFormatError, match="sample 0 "):
+            load_dataset(path)
+
+    def test_changed_snr_caught(self, tmp_path):
+        # 10 dB is inside the generation range, so only the spot check of
+        # sample 133 (of 0, 133, 266 and 399) can catch it
+        ds = small_dataset(num_samples=400, n=16, rings=3)
+        ds.snr_db[133] = 10.0
+        path = tmp_path / "ds.nbds"
+        save_dataset(path, ds)
+        with pytest.raises(DatasetFormatError, match="sample 133 "):
+            load_dataset(path)
 
     @pytest.mark.parametrize("mangle", [
         lambda yw: yw * (1.0 + 1e-9),
@@ -150,11 +161,11 @@ class TestRoundTrip:
     ], ids=["relative-1e-9", "complex64"])
     def test_inexact_measurement_caught(self, tmp_path, mangle):
         ds = small_dataset(num_samples=20)
-        ds.yw[3] = mangle(ds.yw[3])
+        ds.yw[0] = mangle(ds.yw[0])
         path = tmp_path / "ds.nbds"
         save_dataset(path, ds)
-        with pytest.raises(DatasetFormatError, match="sample 3 "):
-            load_dataset(path, verify_fraction=1.0)
+        with pytest.raises(DatasetFormatError, match="sample 0 "):
+            load_dataset(path)
 
     @pytest.mark.parametrize("field,at,value,what", [
         ("label_n", 50, 0, "label_n"),
@@ -184,7 +195,7 @@ class TestRoundTrip:
         raw = path.read_bytes()
         path.write_bytes(raw[:-30])
         with pytest.raises(DatasetFormatError):
-            load_dataset(path, verify_fraction=0)
+            load_dataset(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ds.nbds"
@@ -236,7 +247,9 @@ class TestHeaderAgainstConfig:
 
     def test_untouched_file_loads(self, saved):
         _rewrite(saved)
-        assert load_dataset(saved, verify_fraction=1.0).num_rings == 5
+        loaded = load_dataset(saved)
+        assert loaded.num_rings == 5
+        assert spot_check_labels(loaded, fraction=1.0) == 20
 
     @pytest.mark.parametrize("header", [
         {"n": 32},
@@ -249,7 +262,7 @@ class TestHeaderAgainstConfig:
     def test_header_disagreeing_with_blob_rejected(self, saved, header):
         _rewrite(saved, header=header)
         with pytest.raises(DatasetFormatError, match="disagrees with the config blob"):
-            load_dataset(saved, verify_fraction=0)
+            load_dataset(saved)
 
     @pytest.mark.parametrize("edit", [
         lambda c: c["array"].pop("antenna_spacing"),
@@ -269,7 +282,7 @@ class TestHeaderAgainstConfig:
     def test_blob_that_does_not_rebuild_rejected(self, saved, edit):
         _rewrite(saved, blob=edit)
         with pytest.raises(DatasetFormatError, match="config blob"):
-            load_dataset(saved, verify_fraction=0)
+            load_dataset(saved)
 
     def test_codebook_values_that_do_not_build_rejected(self, saved):
         _rewrite(saved, blob=lambda c: c["codebook"].update(r_min=100.0))

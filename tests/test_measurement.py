@@ -5,7 +5,6 @@ import pytest
 from beam_reference import reference_beam_tests
 from nearbeam.codebook import (
     angle_grid,
-    build_narrow_codebook,
     build_polar_codebook,
     build_wide_codebook,
 )
@@ -158,11 +157,20 @@ class TestStreamCompatibility:
             book.codewords[cands - 1], h, link, 25)
 
     def test_far_field_baseline(self):
-        narrow = build_narrow_codebook(ArrayConfig(16))
+        narrow = build_wide_codebook(ArrayConfig(16), 1)
         h = random_channel(np.random.default_rng(26), n=16)
         link = LINKS[0]
         self._compare(lambda rng: far_field_baseline(narrow, h, link, rng).aux["measurements"],
                       narrow.codewords, h, link, 27)
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_far_field_baseline_is_measure_wide(self, link):
+        narrow = build_wide_codebook(ArrayConfig(16), 1)
+        h = random_channel(np.random.default_rng(28), n=16)
+        rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+        got = far_field_baseline(narrow, h, link, rng).aux["measurements"]
+        assert got.tobytes() == measure_wide(narrow, h, link, ref_rng).values.tobytes()
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 class TestAchievableRate:

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nearbeam.codebook import build_narrow_codebook, build_polar_codebook
+from nearbeam.codebook import build_polar_codebook, build_wide_codebook
 from nearbeam.geometry import ArrayConfig, PathParams, ScenarioConfig, sample_paths, synth_channel
 from nearbeam.measurement import LinkConfig, link_from_snr_db, measure_wide, sweep_oracle
 from nearbeam.schemes import (
@@ -218,7 +218,7 @@ class TestBaselines:
 
     def test_far_field_baseline_nails_far_channel(self):
         cfg = ArrayConfig(64)
-        narrow = build_narrow_codebook(cfg)
+        narrow = build_wide_codebook(cfg, 1)
         rng = np.random.default_rng(9)
         theta = 0.3  # nearest grid point is beam 42 at 0.296875
         h = synth_channel(cfg, [PathParams(gain=1.0, distance=1e6 * cfg.carrier_wavelength,
@@ -229,7 +229,7 @@ class TestBaselines:
 
     def test_far_field_baseline_with_noise_returns_valid_index(self):
         cfg = ArrayConfig(16)
-        narrow = build_narrow_codebook(cfg)
+        narrow = build_wide_codebook(cfg, 1)
         rng = np.random.default_rng(10)
         h = random_channel(rng, cfg)
         res = far_field_baseline(narrow, h, link_from_snr_db(10.0), rng)
