@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands cover the full pipeline: gen-dataset, train, eval-heads,
-run-experiment, sweep-baseline, export-codebook. Every subcommand takes a
-config source (--config file and/or a --desk-scale / --paper-scale preset),
-a --seed, and an --out-dir.
+run-experiment, export-codebook. Every subcommand takes a config source
+(--config file and/or a --desk-scale / --paper-scale preset), a --seed, and
+an --out-dir. The exhaustive-sweep baseline alone is run-experiment with
+``experiment: {schemes: [sweep]}`` in the config.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import sys
 from pathlib import Path
 
 from .codebook import build_polar_codebook, build_wide_codebook, export_codebook
-from .config import (ConfigError, FullConfig, apply_overrides, desk_scale_config, load_config,
-                     paper_scale_config)
+from .config import ConfigError, FullConfig, desk_scale_config, load_config, paper_scale_config
 from .dataset import DatasetFormatError, export_labels_csv, generate_dataset, load_dataset, save_dataset
 from .experiments import run_experiment
 from .net import NetModelError, load_model, save_model
@@ -135,16 +135,13 @@ def cmd_eval_heads(parser, args) -> int:
                             ks=tuple(args.top_k))
     text = json.dumps(report, indent=2)
     print(text)
-    if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        (args.out_dir / "eval_report.json").write_text(text + "\n")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    (args.out_dir / "eval_report.json").write_text(text + "\n")
     return 0
 
 
-def _run_experiment_cmd(parser, args, schemes_override=None) -> int:
+def cmd_run_experiment(parser, args) -> int:
     cfg = _resolve_config(parser, args)
-    if schemes_override is not None:
-        apply_overrides(cfg, {"experiment": {"schemes": schemes_override}})
     dir_model = dist_model = None
     if args.stub is None and any(s in ("original", "improved") for s in cfg.experiment.schemes):
         models_dir = args.models_dir if args.models_dir is not None else args.out_dir
@@ -164,14 +161,6 @@ def _run_experiment_cmd(parser, args, schemes_override=None) -> int:
         print(f"improved scheme tested {improved[0].beams} beams per trial")
     print(f"wrote {len(records)} trial records to {args.out_dir / 'trials.csv'}")
     return 0
-
-
-def cmd_run_experiment(parser, args) -> int:
-    return _run_experiment_cmd(parser, args)
-
-
-def cmd_sweep_baseline(parser, args) -> int:
-    return _run_experiment_cmd(parser, args, schemes_override=["sweep"])
 
 
 def cmd_export_codebook(parser, args) -> int:
@@ -218,17 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=_top_k, nargs="+", default=[1, 5])
     p.set_defaults(func=cmd_eval_heads)
 
-    for name, func, help_text in (
-        ("run-experiment", cmd_run_experiment, "Monte-Carlo SNR sweep over the configured schemes"),
-        ("sweep-baseline", cmd_sweep_baseline, "exhaustive-sweep oracle baseline only"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--models-dir", type=Path, help="directory with trained model files")
-        p.add_argument("--stub", choices=["oracle", "uniform"],
-                       help="feed the schemes fixed head probabilities instead of "
-                            "trained heads: one-hot on the sweep oracle, or uniform")
-        p.set_defaults(func=func)
+    p = sub.add_parser("run-experiment",
+                       help="Monte-Carlo SNR sweep over the configured schemes")
+    _add_common(p)
+    p.add_argument("--models-dir", type=Path, help="directory with trained model files")
+    p.add_argument("--stub", choices=["oracle", "uniform"],
+                   help="feed the schemes fixed head probabilities instead of "
+                        "trained heads: one-hot on the sweep oracle, or uniform")
+    p.set_defaults(func=cmd_run_experiment)
 
     p = sub.add_parser("export-codebook", help="write a codebook binary")
     _add_common(p)

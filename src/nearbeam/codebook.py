@@ -1,8 +1,9 @@
 """Polar-domain near-field codebook and the far-field codebook.
 
 The polar codebook samples the sine-angle axis uniformly in N parts and the
-distance axis in S rings placed uniformly in inverse distance; codeword
-i = (s-1)*N + n is the near-field steering vector at (theta_n, r_s^n).
+distance axis in S rings placed uniformly in inverse distance, the same S
+distances at every angle; codeword i = (s-1)*N + n is the near-field
+steering vector at (theta_n, r_s).
 Indices s, n, i are 1-based at every public surface, matching the usual
 codebook-numbering convention.
 
@@ -44,17 +45,11 @@ def angle_grid(num_angles: int) -> np.ndarray:
     return -1.0 + (2.0 * n - 1.0) / num_angles
 
 
-def ring_grid(
-    num_rings: int,
-    r_min: float,
-    r_max: float,
-    angles: np.ndarray,
-) -> np.ndarray:
-    """Distance-ring grid r_s^n, shape (S, N).
+def ring_grid(num_rings: int, r_min: float, r_max: float) -> np.ndarray:
+    """Distance-ring grid r_s, shape (S,); the same rings serve every angle.
 
     Rings are uniform in inverse distance: ring 1 sits at r_max, ring S at
-    r_min, and 1/r_s is an arithmetic progression between them. The grid is
-    the same at every angle.
+    r_min, and 1/r_s is an arithmetic progression between them.
     """
     if num_rings < 1:
         raise ValueError("num_rings must be >= 1")
@@ -64,7 +59,7 @@ def ring_grid(
         inv = np.array([1.0 / r_max])
     else:
         inv = np.linspace(1.0 / r_max, 1.0 / r_min, num_rings)
-    return (1.0 / inv)[:, None] * np.ones(len(angles))[None, :]
+    return 1.0 / inv
 
 
 def codeword_index(s: int, n: int, num_angles: int, num_rings: int | None = None) -> int:
@@ -90,12 +85,12 @@ class PolarCodebook:
     """Near-field codebook over the (angle, distance-ring) grid.
 
     ``codewords`` has shape (I, N) with I = N*S; row i-1 is the unit-norm
-    steering vector at (theta_n, r_s^n) for (s, n) = index_to_pair(i).
+    steering vector at (theta_n, r_s) for (s, n) = index_to_pair(i).
     """
 
     array: ArrayConfig
     angles: np.ndarray          # (N,)
-    ring_distances: np.ndarray  # (S, N)
+    ring_distances: np.ndarray  # (S,)
     codewords: np.ndarray       # (N*S, N) complex
 
     @property
@@ -104,7 +99,7 @@ class PolarCodebook:
 
     @property
     def num_rings(self) -> int:
-        return self.ring_distances.shape[0]
+        return len(self.ring_distances)
 
     @property
     def size(self) -> int:
@@ -150,18 +145,17 @@ def build_polar_codebook(
     and fills the rest as reversed copies; on any other grid the half is
     the whole ring and nothing is copied.
 
-    Each ring is written in place with one steering call, so the
-    temporaries are the size of one (half) ring; ring_grid has checked that
-    every distance is positive.
+    Each ring is written in place with one steering call on its distance,
+    so the temporaries are the size of one (half) ring; ring_grid has
+    checked that every distance is positive.
     """
     n = cfg.num_antennas
     angles = angle_grid(n)
-    rings = ring_grid(num_rings, r_min, r_max, angles)
-    mirrored = np.array_equal(angles[::-1], -angles) and np.array_equal(rings[:, ::-1], rings)
-    half = n - n // 2 if mirrored else n
+    rings = ring_grid(num_rings, r_min, r_max)
+    half = n - n // 2 if np.array_equal(angles[::-1], -angles) else n
     codewords = np.empty((num_rings, n, n), dtype=np.complex128)
-    for ring, dists in zip(codewords, rings):
-        _steering_rows(cfg, angles[:half, None], dists[:half, None], out=ring[:half])
+    for ring, dist in zip(codewords, rings):
+        _steering_rows(cfg, angles[:half, None], dist, out=ring[:half])
         ring[half:] = ring[:n - half][::-1, ::-1]
     return PolarCodebook(array=cfg, angles=angles, ring_distances=rings,
                          codewords=codewords.reshape(num_rings * n, n))
@@ -188,10 +182,11 @@ def build_wide_codebook(cfg: ArrayConfig, subarray_factor: int) -> WideCodebook:
 # Layout (little-endian): magic 'NBCB', u32 version, u32 kind, u32 N,
 # u32 S (polar) / M (far-field), u32 T (far-field) / 0, f64 wavelength,
 # f64 spacing, then the codeword matrix row-major as interleaved re/im f64.
-# Polar files append the (S, N) ring-distance grid as plain f64 so the full
-# codebook object round-trips bit-exactly. Kind 1 (narrow, S/M and T fields
-# 0) is no longer written; older files of that kind read back as the T = 1
-# far-field codebook.
+# Polar files append the ring distances as an (S, N) grid of plain f64, each
+# ring's distance repeated at every angle; a grid that varies across angles
+# is rejected on import. Kind 1 (narrow, S/M and T fields 0) is no longer
+# written; older files of that kind read back as the T = 1 far-field
+# codebook.
 
 _HEADER = struct.Struct("<4sIIIIIdd")
 
@@ -219,7 +214,7 @@ def export_codebook(path, book: PolarCodebook | WideCodebook) -> None:
         f.write(header)
         f.write(np.ascontiguousarray(book.codewords, dtype="<c16").tobytes())
         if isinstance(book, PolarCodebook):
-            f.write(np.ascontiguousarray(book.ring_distances, dtype="<f8").tobytes())
+            f.write(np.repeat(book.ring_distances, cfg.num_antennas).astype("<f8").tobytes())
 
 
 def import_codebook(path) -> PolarCodebook | WideCodebook:
@@ -228,8 +223,9 @@ def import_codebook(path) -> PolarCodebook | WideCodebook:
 
     A header that no exported codebook has (N = 0, a polar file without
     rings, a wide file whose T does not divide N or whose M is not N/T, a
-    non-zero unused field, a non-positive wavelength or spacing) and bytes
-    after the payload raise :class:`CodebookFormatError`.
+    non-zero unused field, a non-positive wavelength or spacing), a payload
+    shorter or longer than the header declares, and a ring grid that varies
+    across angles raise :class:`CodebookFormatError`.
     """
     with open(path, "rb") as f:
         raw = f.read(_HEADER.size)
@@ -257,20 +253,22 @@ def import_codebook(path) -> PolarCodebook | WideCodebook:
                 f"inconsistent codebook header: kind {kind}, N={n_ant}, "
                 f"S/M field {aux1}, T field {aux2}"
             )
-        raw = f.read(rows * n_ant * 16)
-        if len(raw) != rows * n_ant * 16:
-            raise CodebookFormatError("truncated codeword block")
-        words = np.frombuffer(raw, dtype="<c16").reshape(rows, n_ant).copy()
-        if kind == _KIND_POLAR:
-            raw = f.read(aux1 * n_ant * 8)
-            if len(raw) != aux1 * n_ant * 8:
-                raise CodebookFormatError("truncated ring-distance block")
-            rings = np.frombuffer(raw, dtype="<f8").reshape(aux1, n_ant).copy()
-        if f.read(1):
-            raise CodebookFormatError("unexpected bytes after the codebook payload")
+        # the rest of the file, however large a size the header declares
+        raw = f.read()
+    words_size = rows * n_ant * 16
+    payload = words_size + (aux1 * n_ant * 8 if kind == _KIND_POLAR else 0)
+    if len(raw) < payload:
+        raise CodebookFormatError(f"truncated codebook: the header declares {payload} "
+                                  f"payload bytes, the file holds {len(raw)}")
+    if len(raw) > payload:
+        raise CodebookFormatError("unexpected bytes after the codebook payload")
+    words = np.frombuffer(raw, dtype="<c16", count=rows * n_ant).reshape(rows, n_ant).copy()
     if kind == _KIND_POLAR:
-        return PolarCodebook(array=cfg, angles=angle_grid(n_ant), ring_distances=rings,
-                             codewords=words)
+        grid = np.frombuffer(raw, dtype="<f8", offset=words_size).reshape(aux1, n_ant)
+        if not np.all(grid == grid[:, :1]):
+            raise CodebookFormatError("ring-distance grid varies across angles")
+        return PolarCodebook(array=cfg, angles=angle_grid(n_ant),
+                             ring_distances=grid[:, 0].copy(), codewords=words)
     if kind == _KIND_NARROW:
         aux1, aux2 = n_ant, 1
     return WideCodebook(array=cfg, subarray_factor=aux2, angles=angle_grid(aux1), codewords=words)

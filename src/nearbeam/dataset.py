@@ -230,23 +230,31 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(f"unsupported dataset format version {version}")
         if n_train + n_val + n_test != count:
             raise DatasetFormatError("split sizes do not sum to sample count")
-        try:
-            config = json.loads(f.read(blob_len))
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError("unreadable config blob") from exc
-        array_cfg, _ = _generation_configs(config)
-        cb = config["codebook"]
-        header = (n_angles, n_rings, t_factor, lam, n_wide * t_factor)
-        blob = (array_cfg.num_antennas, cb["num_rings"], cb["subarray_factor"],
-                array_cfg.carrier_wavelength, array_cfg.num_antennas)
-        if header != blob:
-            raise DatasetFormatError(f"header (N, S, T, wavelength, M*T) {header} disagrees "
-                                     f"with the config blob's {blob}")
-        dtype = _record_dtype(n_wide)
-        raw = f.read(count * dtype.itemsize)
-        if len(raw) != count * dtype.itemsize:
-            raise DatasetFormatError("truncated record block")
-        records = np.frombuffer(raw, dtype=dtype)
+        # the rest of the file, however large the sizes the header declares
+        raw = f.read()
+    if len(raw) < blob_len:
+        raise DatasetFormatError(f"truncated config blob: the header declares {blob_len} "
+                                 f"bytes, {len(raw)} follow the header")
+    try:
+        config = json.loads(raw[:blob_len])
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError("unreadable config blob") from exc
+    array_cfg, _ = _generation_configs(config)
+    cb = config["codebook"]
+    header = (n_angles, n_rings, t_factor, lam, n_wide * t_factor)
+    blob = (array_cfg.num_antennas, cb["num_rings"], cb["subarray_factor"],
+            array_cfg.carrier_wavelength, array_cfg.num_antennas)
+    if header != blob:
+        raise DatasetFormatError(f"header (N, S, T, wavelength, M*T) {header} disagrees "
+                                 f"with the config blob's {blob}")
+    dtype = _record_dtype(n_wide)
+    held, needed = len(raw) - blob_len, count * dtype.itemsize
+    if held < needed:
+        raise DatasetFormatError(f"truncated record block: {count} records need {needed} "
+                                 f"bytes, the file holds {held}")
+    if held > needed:
+        raise DatasetFormatError("unexpected bytes after the record block")
+    records = np.frombuffer(raw, dtype=dtype, offset=blob_len)
     ds = Dataset(
         num_angles=n_angles, num_rings=n_rings, num_wide=n_wide,
         subarray_factor=t_factor, carrier_wavelength=lam,

@@ -112,8 +112,9 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
 
 
 def _steering_rows(cfg: ArrayConfig, theta, r, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`near_steering` without the distance check. (K, 1) arrays of
-    angles and positive distances give a (K, N) block whose row k equals
+    """:func:`near_steering` without the distance check. A (K, 1) array of
+    angles and a (K, 1) array of positive distances, or one distance for
+    every row, give a (K, N) block whose row k equals
     near_steering(cfg, theta[k], r[k]) bit for bit.
 
     The block is written into ``out`` when given (complex128, the broadcast

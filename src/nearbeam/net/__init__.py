@@ -18,7 +18,7 @@ from .model import (
     encode_batch,
     model_from_specs,
 )
-from .optim import OPTIMIZERS, SGD, Adam, make_optimizer
+from .optim import Adam
 from .serialize import NetModelError, load_model, save_model
 
 __all__ = [
@@ -26,6 +26,6 @@ __all__ = [
     "Layer", "ReLU", "SoftmaxHead", "layer_from_spec",
     "NetworkModel", "build_model", "cross_entropy_batch",
     "encode_batch", "model_from_specs",
-    "OPTIMIZERS", "SGD", "Adam", "make_optimizer",
+    "Adam",
     "NetModelError", "load_model", "save_model",
 ]

@@ -1,6 +1,6 @@
-"""Optimizers for the from-scratch engine: Adam (default) and plain SGD.
+"""The from-scratch engine's optimizer: Adam, the only one training uses.
 
-Both mutate the model's parameter arrays in place; the learning rate is a
+It mutates the model's parameter arrays in place; the learning rate is a
 plain attribute so a training loop can decay it per epoch. Gradient arrays
 are re-read from the model on every step because layers publish fresh grad
 arrays on each backward pass.
@@ -68,22 +68,3 @@ class Adam:
                 denom += self.eps
                 step /= denom
                 flat[lo:hi] -= step
-
-
-class SGD:
-    def __init__(self, model, lr: float = 0.01):
-        self.model = model
-        self.lr = lr
-
-    def step(self):
-        for _, value, grad in self.model.parameters():
-            value -= self.lr * grad
-
-
-OPTIMIZERS = {"adam": Adam, "sgd": SGD}
-
-
-def make_optimizer(model, name: str = "adam", lr: float = 0.01):
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r}")
-    return OPTIMIZERS[name](model, lr=lr)

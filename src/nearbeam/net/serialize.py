@@ -4,6 +4,8 @@ Layout (little-endian): magic 'NBNM', u32 version, u32 header length, the
 JSON architecture header (layer specs, input length, head size, array
 manifest), the raw float64 payload of every parameter and persistent state
 array in manifest order, then the SHA-256 digest of everything before it.
+A file whose header names no valid model, or whose arrays hold a non-finite
+value, is a :class:`NetModelError` like a corrupt one.
 """
 
 from __future__ import annotations
@@ -55,24 +57,23 @@ def load_model(path) -> NetworkModel:
     version, header_len = struct.unpack_from("<II", blob, 4)
     if version != _FORMAT_VERSION:
         raise NetModelError(f"unsupported model format version {version}")
-    offset = 12
+    offset = 12 + header_len
     try:
-        header = json.loads(blob[offset:offset + header_len])
-    except json.JSONDecodeError as exc:
-        raise NetModelError("unreadable model header") from exc
-    offset += header_len
-    model = model_from_specs(header["layers"], header["input_length"], header["head_size"])
-    slots = dict(model.persistent_arrays())
-    for entry in header["arrays"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in slots:
-            raise NetModelError(f"model file carries unknown array {name!r}")
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        if slots[name].shape != shape:
-            raise NetModelError(f"shape mismatch for {name!r}")
-        slots[name][...] = data.reshape(shape)
-    if offset != len(blob) - 32:
+        header = json.loads(blob[12:offset])
+        model = model_from_specs(header["layers"], header["input_length"], header["head_size"])
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        # ValueError covers JSON that does not parse and text that is not UTF-8
+        raise NetModelError(f"model header describes no valid model: {exc!r}") from exc
+    arrays = list(model.persistent_arrays())
+    if manifest != [(name, value.shape) for name, value in arrays]:
+        raise NetModelError("model file's array manifest does not match its layers")
+    if len(blob) - 32 - offset != 8 * sum(value.size for _, value in arrays):
         raise NetModelError("model file has trailing or missing payload bytes")
+    for name, value in arrays:
+        data = np.frombuffer(blob, dtype="<f8", count=value.size, offset=offset)
+        if not np.isfinite(data).all():
+            raise NetModelError(f"non-finite value in {name!r}")
+        value[...] = data.reshape(value.shape)
+        offset += value.size * 8
     return model

@@ -17,9 +17,11 @@ from numbers import Integral
 import numpy as np
 
 from .dataset import Dataset
-from .net import OPTIMIZERS, build_model, cross_entropy_batch, encode_batch, make_optimizer
+from .net import Adam, build_model, cross_entropy_batch, encode_batch
 
 EVAL_CHUNK = 1024
+# train-SNR buckets of the evaluation report; the top edge takes in 20 dB
+SNR_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0000001)
 
 
 @dataclass
@@ -29,7 +31,7 @@ class TrainConfig:
     lr: float = 0.01
     lr_decay: float = 0.95
     patience: int = 10
-    optimizer: str = "adam"
+    optimizer: str = "adam"  # the only optimizer; configs may still name it
     seed: int = 0
     conv_channels: tuple[int, int] = (64, 256)
     fc_widths: tuple[int, int, int] = (1024, 1024, 512)
@@ -37,9 +39,8 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
-                             f"got {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"optimizer must be adam, got {self.optimizer!r}")
         for name, count in (("conv_channels", 2), ("fc_widths", 3)):
             widths = getattr(self, name)
             if len(widths) != count or not all(
@@ -83,7 +84,7 @@ def _train_one_head(x, labels0, train_idx, val_idx, head_size, cfg, seed, tag):
         fc_widths=tuple(cfg.fc_widths),
         pool_target=cfg.pool_target,
     )
-    opt = make_optimizer(model, cfg.optimizer, lr=cfg.lr)
+    opt = Adam(model, lr=cfg.lr)
     history: list[EpochStats] = []
     best_loss = np.inf
     best_state = model.snapshot()
@@ -147,11 +148,11 @@ def top_k_accuracy(probs: np.ndarray, labels0: np.ndarray, k: int) -> float:
     return float((top == labels0[:, None]).any(axis=1).mean())
 
 
-def _head_report(probs, labels0, snr_db, ks, snr_edges):
+def _head_report(probs, labels0, snr_db, ks):
     report = {"top_k": {k: top_k_accuracy(probs, labels0, k) for k in ks}}
     pred = probs.argmax(axis=1)
     buckets = {}
-    for lo, hi in zip(snr_edges[:-1], snr_edges[1:]):
+    for lo, hi in zip(SNR_EDGES[:-1], SNR_EDGES[1:]):
         mask = (snr_db >= lo) & (snr_db < hi)
         if mask.any():
             buckets[f"[{lo:g},{hi:g})"] = float((pred[mask] == labels0[mask]).mean())
@@ -174,7 +175,6 @@ def evaluate_heads(
     ds: Dataset,
     split: str = "test",
     ks: tuple[int, ...] = (1, 5),
-    snr_edges: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0000001),
 ) -> dict:
     """Top-1/top-k accuracy per head, stratified by the sample's train SNR."""
     idx = {"train": ds.train_indices, "val": ds.val_indices, "test": ds.test_indices}[split]
@@ -187,5 +187,5 @@ def evaluate_heads(
     ):
         probs = _forward_eval(model, x)
         valid_ks = [k for k in ks if k <= probs.shape[1]] + [probs.shape[1]]
-        report[name] = _head_report(probs, labels, snr, sorted(set(valid_ks)), snr_edges)
+        report[name] = _head_report(probs, labels, snr, sorted(set(valid_ks)))
     return report

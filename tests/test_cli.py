@@ -124,13 +124,13 @@ class TestArgumentHandling:
         assert "--top-k" in err and "k must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("experiment", [
-        "{total_slots: 20}",
-        "{schemes: [random], total_slots: 20}",  # sweep-baseline's own scheme list
+        "{total_slots: 20}",  # the default scheme list starts with the sweep
+        "{schemes: [random, sweep], total_slots: 20}",  # random tests no beam
     ])
     def test_scheme_over_pilot_budget_is_an_error_message(self, tmp_path, capsys, experiment):
         path = tmp_path / "c.yaml"
         path.write_text(f"experiment: {experiment}\n")
-        code = main(["sweep-baseline", "--config", str(path), "--stub", "uniform",
+        code = main(["run-experiment", "--config", str(path), "--stub", "uniform",
                      "--out-dir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -234,9 +234,19 @@ class TestPipeline:
         out = tmp_path / "out"
         args = ["--config", str(tiny_cfg), "--seed", "1", "--out-dir", str(out)]
         assert main(["run-experiment", *args, "--stub", "oracle"]) == 0
-        assert main(["sweep-baseline", *args, "--stub", "uniform"]) == 0
+        # the sweep baseline alone is run-experiment on a config naming only it
+        sweep_cfg = tmp_path / "sweep.yaml"
+        sweep_cfg.write_text(TINY_YAML.replace("[sweep, original, improved, random]", "[sweep]"))
+        args[1] = str(sweep_cfg)
+        assert main(["run-experiment", *args, "--stub", "uniform"]) == 0
         rows = (out / "trials.csv").read_text().splitlines()[1:]
         assert all(row.startswith("sweep,") for row in rows)
+
+    def test_sweep_baseline_subcommand_is_gone(self, tiny_cfg, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-baseline", "--config", str(tiny_cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep-baseline'" in capsys.readouterr().err
 
     def test_paper_scale_improved_reports_148_beams(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -32,29 +32,27 @@ class TestAngleGrid:
 
 class TestRingGrid:
     def test_single_ring_at_r_max(self):
-        rings = ring_grid(1, 10.0, 60.0, angle_grid(4))
-        npt.assert_array_equal(rings, np.full((1, 4), 60.0))
+        rings = ring_grid(1, 10.0, 60.0)
+        npt.assert_array_equal(rings, [60.0])
 
     def test_two_rings_hit_endpoints(self):
-        rings = ring_grid(2, 10.0, 60.0, angle_grid(3))
+        rings = ring_grid(2, 10.0, 60.0)
         npt.assert_allclose(rings[0], 60.0)
         npt.assert_allclose(rings[1], 10.0)
 
     def test_inverse_distance_progression(self):
         # oracle: 1/r_s must be an arithmetic progression from 1/60 to 1/10
-        rings = ring_grid(5, 10.0, 60.0, angle_grid(4))
-        inv = 1.0 / rings[:, 0]
+        rings = ring_grid(5, 10.0, 60.0)
+        inv = 1.0 / rings
         npt.assert_allclose(np.diff(inv), np.diff(inv)[0], atol=1e-12)
-        npt.assert_allclose(rings[:, 0], [60.0, 80.0 / 3.0, 120.0 / 7.0, 240.0 / 19.0, 10.0],
+        npt.assert_allclose(rings, [60.0, 80.0 / 3.0, 120.0 / 7.0, 240.0 / 19.0, 10.0],
                             rtol=1e-12)
-        # the same rings at every angle
-        assert np.all(rings == rings[:, :1])
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            ring_grid(3, 60.0, 10.0, angle_grid(2))
+            ring_grid(3, 60.0, 10.0)
         with pytest.raises(ValueError):
-            ring_grid(3, 0.0, 10.0, angle_grid(2))
+            ring_grid(3, 0.0, 10.0)
 
 
 class TestIndexing:
@@ -107,7 +105,7 @@ class TestPolarCodebook:
             cfg = ArrayConfig(n)
             book = build_polar_codebook(cfg, rings, 5.0, 40.0)
             expected = np.stack([
-                near_steering(cfg, book.angles[k - 1], book.ring_distances[s - 1, k - 1])
+                near_steering(cfg, book.angles[k - 1], book.ring_distances[s - 1])
                 for s in range(1, rings + 1) for k in range(1, n + 1)
             ])
             assert np.array_equal(book.codewords, expected)
@@ -314,4 +312,45 @@ class TestHeaderChecks:
         _export(path, kind, book)
         path.write_bytes(path.read_bytes() + bytes(1))
         with pytest.raises(CodebookFormatError, match="after the codebook payload"):
+            import_codebook(path)
+
+    @pytest.mark.parametrize("kind,changes", [
+        ("wide", {"n": 2 ** 31, "aux1": 2 ** 30, "aux2": 2}),
+        ("polar", {"aux1": 2 ** 32 - 1}),
+    ], ids=["wide-N-2^31", "polar-S-2^32-1"])
+    def test_oversized_payload_rejected(self, tmp_path, kind, changes):
+        # a consistent header whose declared payload dwarfs the file is
+        # rejected from the file's size, before anything that size is read
+        cfg = ArrayConfig(16)
+        book = {"polar": build_polar_codebook(cfg, 3, 10.0, 60.0),
+                "wide": build_wide_codebook(cfg, 4)}[kind]
+        path = tmp_path / "book.nbcb"
+        export_codebook(path, book)
+        _rewrite_header(path, **changes)
+        with pytest.raises(CodebookFormatError, match="truncated codebook"):
+            import_codebook(path)
+
+
+class TestRingGridFile:
+    """A polar file stores each ring's distance at every angle; the import
+    keeps one distance per ring and rejects a grid that varies by angle."""
+
+    def test_file_repeats_each_distance_at_every_angle(self, tmp_path):
+        book = build_polar_codebook(ArrayConfig(16), 3, 10.0, 60.0)
+        path = tmp_path / "book.nbcb"
+        export_codebook(path, book)
+        grid = np.frombuffer(path.read_bytes()[-3 * 16 * 8:], dtype="<f8").reshape(3, 16)
+        assert np.array_equal(grid, np.repeat(ring_grid(3, 10.0, 60.0)[:, None], 16, axis=1))
+        loaded = import_codebook(path)
+        assert loaded.ring_distances.shape == (3,)
+        assert loaded.ring_distances.tobytes() == book.ring_distances.tobytes()
+
+    @pytest.mark.parametrize("at", [0, 17, 3 * 16 - 1])
+    def test_one_changed_distance_rejected(self, tmp_path, at):
+        path = tmp_path / "book.nbcb"
+        export_codebook(path, build_polar_codebook(ArrayConfig(16), 3, 10.0, 60.0))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) - 3 * 16 * 8 + 8 * at] ^= 0x01  # lowest mantissa bit of one double
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CodebookFormatError, match="varies across angles"):
             import_codebook(path)

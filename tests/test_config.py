@@ -27,6 +27,7 @@ BAD_VALUES = [
     ({"array": {"num_rings": 0}, "experiment": {"top_l_rings": 0}},
      r"array\.num_rings must be >= 1"),
     ({"train": {"optimizer": "sgdd"}}, r"train/net: optimizer .*'sgdd'"),
+    ({"train": {"optimizer": "sgd"}}, r"train/net: optimizer must be adam, got 'sgd'"),
     ({"train": {"batch_size": 0}}, r"train/net: batch_size must be >= 1"),
     ({"train": {"epochs": 0}}, r"train/net: epochs must be >= 1"),
     ({"train": {"patience": 0}}, r"train/net: patience must be >= 1"),

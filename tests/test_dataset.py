@@ -197,6 +197,26 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h, raw: h.update(count=2 ** 40, n_train=2 ** 40 - 8), "truncated record block"),
+        (lambda h, raw: h.update(count=2 ** 62, n_train=2 ** 62 - 8), "truncated record block"),
+        (lambda h, raw: h.update(blob_len=2 ** 31), "truncated config blob"),
+        (lambda h, raw: raw.__setitem__(slice(0, 1), b"\xff"), "unreadable config blob"),
+        (lambda h, raw: raw.extend(bytes(8)), "unexpected bytes after the record block"),
+    ], ids=["count-2^40", "count-2^62", "blob-2^31", "blob-not-utf8", "trailing-bytes"])
+    def test_sizes_the_file_does_not_hold_rejected(self, tmp_path, edit, match):
+        # splits 32/4/4 of 40 samples; each size is checked against the
+        # bytes the file holds before anything that size is read
+        path = tmp_path / "ds.nbds"
+        save_dataset(path, small_dataset(num_samples=40))
+        raw = path.read_bytes()
+        header = dict(zip(_HEADER_FIELDS, dataset._HEADER.unpack_from(raw)))
+        rest = bytearray(raw[dataset._HEADER.size:])
+        edit(header, rest)
+        path.write_bytes(dataset._HEADER.pack(*header.values()) + bytes(rest))
+        with pytest.raises(DatasetFormatError, match=match):
+            load_dataset(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ds.nbds"
         save_dataset(path, small_dataset(num_samples=20))
@@ -217,13 +237,15 @@ class TestRoundTrip:
         assert lines[-1].startswith("19,test,")
 
 
+_HEADER_FIELDS = ("magic", "version", "n", "s", "m", "t", "wavelength", "count",
+                  "n_train", "n_val", "n_test", "base_seed", "blob_len")
+
+
 def _rewrite(path, header=None, blob=None):
     """Rewrite header fields (by name) or the config blob (through ``blob``,
     which edits the parsed dict) of a saved dataset in place."""
-    names = ("magic", "version", "n", "s", "m", "t", "wavelength", "count",
-             "n_train", "n_val", "n_test", "base_seed", "blob_len")
     raw = path.read_bytes()
-    fields = dict(zip(names, dataset._HEADER.unpack_from(raw)))
+    fields = dict(zip(_HEADER_FIELDS, dataset._HEADER.unpack_from(raw)))
     start = dataset._HEADER.size
     config = json.loads(raw[start:start + fields["blob_len"]])
     records = raw[start + fields["blob_len"]:]

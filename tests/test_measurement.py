@@ -209,7 +209,7 @@ class TestSweepOracle:
         for s, n in [(1, 1), (2, 16), (3, 32)]:
             h = synth_channel(
                 cfg,
-                [PathParams(gain=1.0, distance=book.ring_distances[s - 1, n - 1],
+                [PathParams(gain=1.0, distance=book.ring_distances[s - 1],
                             angle=grid[n - 1])],
             )
             i_star, s_got, n_got = sweep_oracle(book, h)

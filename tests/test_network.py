@@ -13,7 +13,6 @@ from nearbeam.net import (
     NetModelError,
     NetworkModel,
     ReLU,
-    SGD,
     SoftmaxHead,
     build_model,
     cross_entropy_batch,
@@ -264,16 +263,6 @@ class TestOptimizers:
             npt.assert_allclose(step, -0.01 * grad / (np.abs(grad) + 1e-8), rtol=1e-12)
             npt.assert_allclose(step, -0.01 * np.sign(grad), atol=1e-4)
 
-    def test_sgd_step(self):
-        rng = np.random.default_rng(11)
-        model = tiny_model(rng)
-        before = model.snapshot()
-        for _, _, grad in model.parameters():
-            grad[...] = 1.0
-        SGD(model, lr=0.1).step()
-        for name, value, _ in model.parameters():
-            npt.assert_allclose(value, before[name] - 0.1, atol=1e-12)
-
     def test_overfits_fixed_tiny_batch(self):
         rng = np.random.default_rng(12)
         model = tiny_model(rng)
@@ -400,6 +389,56 @@ class TestSaveLoad:
         raw += hashlib.sha256(bytes(raw)).digest()  # keep the checksum valid
         path.write_bytes(bytes(raw))
         with pytest.raises(NetModelError, match="version"):
+            load_model(path)
+
+
+def _rewrite_model(path, header=None, payload=None):
+    """Edit a saved model's JSON header (through ``header``, which edits the
+    parsed dict) or its float64 payload (through ``payload``, which returns
+    the new values), then recompute the header length and the checksum."""
+    import hashlib
+    import json
+    import struct
+
+    raw = path.read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    meta = json.loads(raw[12:12 + header_len])
+    values = np.frombuffer(raw, dtype="<f8", offset=12 + header_len).copy()
+    if header is not None:
+        header(meta)
+    if payload is not None:
+        values = payload(values)
+    text = json.dumps(meta, sort_keys=True).encode()
+    blob = raw[:8] + struct.pack("<I", len(text)) + text + values.tobytes()
+    path.write_bytes(blob + hashlib.sha256(blob).digest())
+
+
+class TestHeaderChecks:
+    """A file whose checksum holds but whose header or values describe no
+    valid model is a NetModelError, not an exception from deeper down."""
+
+    def test_rewritten_file_still_loads(self, tmp_path):
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20)))
+        _rewrite_model(path)
+        assert load_model(path).head_size == 4
+
+    @pytest.mark.parametrize("header,payload", [
+        (lambda h: h["arrays"][0].update(shape=[10 ** 12]), None),
+        (lambda h: h.pop("layers"), None),
+        (lambda h: h["layers"][0].update(kind="lstm"), None),
+        (lambda h: h["layers"][0].update(in_channels=-1), None),
+        # the last array, the head's 4 biases, left out of manifest and payload
+        (lambda h: h.update(arrays=h["arrays"][:-1]), lambda v: v[:-4]),
+        (None, lambda v: np.where(np.arange(v.size) == 5, np.nan, v)),
+        (None, lambda v: np.where(np.arange(v.size) == 200, -np.inf, v)),
+    ], ids=["huge-shape", "no-layers", "unknown-kind", "negative-channels",
+            "array-missing", "nan-weight", "inf-value"])
+    def test_invalid_model_rejected(self, tmp_path, header, payload):
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20)))
+        _rewrite_model(path, header=header, payload=payload)
+        with pytest.raises(NetModelError):
             load_model(path)
 
 
