@@ -3,10 +3,13 @@
 Every sample is regenerable from its own 64-bit seed: the per-sample RNG
 draws the paths, the training SNR, and the measurement noise in a fixed
 order, and the noiseless exhaustive sweep provides the (n*, s*) labels.
-Generation labels a chunk of samples at a time with one product of the
-polar codebook (built in place) and the chunk's channels; every label
-equals the per-sample sweep that the load spot check reruns, and only one
-chunk of channels is held at a time.
+Generation works on a chunk of samples at a time, in three phases: each
+sample's generator draws its paths, then its SNR; one ``synth_channels``
+call builds the chunk's channels; then each generator draws its sample's
+measurement noise. One product of the polar codebook (built in place) and
+the chunk's channels labels the chunk. Every sample equals the one its seed
+regenerates alone, every label equals the per-sample sweep that the load
+spot check reruns, and only one chunk of channels is held at a time.
 The noise layout is part of the format: for each wide beam in order, N real
 normals and then N imaginary normals, N being the number of antennas.
 The file format is a fixed header, a JSON blob with the generating config
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codebook import PolarCodebook, WideCodebook, build_polar_codebook, build_wide_codebook
-from .geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channel
+from .geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channels
 from .measurement import link_from_snr_db, measure_wide, sweep_oracle, sweep_oracle_batch
 
 _MAGIC = b"NBDS"
@@ -90,15 +93,25 @@ def split_sizes(num_samples: int, val_fraction: float = 0.1, test_fraction: floa
     return n_train, n_val, n_test
 
 
-def _draw_sample(seed, scenario: ScenarioConfig, array: ArrayConfig,
-                 wide: WideCodebook, snr_range_db: tuple[float, float]):
-    """Channel, measurement values and SNR of one sample, from its seed."""
-    rng = np.random.default_rng(int(seed))
-    paths = sample_paths(rng, scenario)
-    h = synth_channel(array, paths)
-    snr_db = rng.uniform(*snr_range_db)
-    meas = measure_wide(wide, h, link_from_snr_db(snr_db), rng)
-    return h, meas.values, snr_db
+def _draw_samples(seeds, scenario: ScenarioConfig, array: ArrayConfig,
+                  wide: WideCodebook, snr_range_db: tuple[float, float]):
+    """Channels (K, N), measurement values (K, M) and SNRs (K,) of the
+    samples with these seeds.
+
+    Each sample's own generator draws its paths, then its SNR; one
+    :func:`synth_channels` call builds every channel; then each generator
+    draws its sample's measurement noise.
+    """
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    path_sets, snr_db = [], []
+    for rng in rngs:
+        path_sets.append(sample_paths(rng, scenario))
+        snr_db.append(rng.uniform(*snr_range_db))
+    channels = synth_channels(array, path_sets)
+    values = np.empty((len(rngs), wide.num_wide), dtype=np.complex128)
+    for k, rng in enumerate(rngs):
+        values[k] = measure_wide(wide, channels[k], link_from_snr_db(snr_db[k]), rng).values
+    return channels, values, snr_db
 
 
 def generate_sample(
@@ -111,9 +124,9 @@ def generate_sample(
     """Regenerate one sample from its seed. Draw order is part of the format:
     paths, then SNR, then measurement noise, which for each wide beam in
     order is N real normals followed by N imaginary normals."""
-    h, values, snr_db = _draw_sample(seed, scenario, polar.array, wide, snr_range_db)
-    _, s_star, n_star = sweep_oracle(polar, h)
-    return values, n_star, s_star, snr_db
+    channels, values, snr_db = _draw_samples([seed], scenario, polar.array, wide, snr_range_db)
+    _, s_star, n_star = sweep_oracle(polar, channels[0])
+    return values[0], n_star, s_star, snr_db[0]
 
 
 def generate_dataset(
@@ -150,15 +163,12 @@ def generate_dataset(
     label_n = np.empty(num_samples, dtype=np.uint32)
     label_s = np.empty(num_samples, dtype=np.uint32)
     snr = np.empty(num_samples, dtype=np.float64)
-    channels = np.empty((min(_LABEL_CHUNK, num_samples), array_cfg.num_antennas),
-                        dtype=np.complex128)
     for start in range(0, num_samples, _LABEL_CHUNK):
         stop = min(start + _LABEL_CHUNK, num_samples)
-        for i in range(start, stop):
-            channels[i - start], yw[i], snr[i] = _draw_sample(
-                seeds[i], scenario, array_cfg, wide, snr_range_db
-            )
-        flat = sweep_oracle_batch(polar, channels[:stop - start]) - 1
+        channels, yw[start:stop], snr[start:stop] = _draw_samples(
+            seeds[start:stop], scenario, array_cfg, wide, snr_range_db
+        )
+        flat = sweep_oracle_batch(polar, channels) - 1
         label_s[start:stop] = flat // polar.num_angles + 1
         label_n[start:stop] = flat % polar.num_angles + 1
 

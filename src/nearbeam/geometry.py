@@ -144,26 +144,63 @@ def _steering_rows(cfg: ArrayConfig, theta, r, out: np.ndarray | None = None) ->
 
 def synth_channel(cfg: ArrayConfig, paths: list[PathParams]) -> np.ndarray:
     """Multipath near-field channel h = sqrt(N/L) * sum_l g_l e^{-j2pi r_l/lam} b(theta_l, r_l)."""
-    if not paths:
-        raise ValueError("synth_channel requires at least one path")
-    lam = cfg.carrier_wavelength
-    h = np.zeros(cfg.num_antennas, dtype=np.complex128)
-    for p in paths:
-        h += p.gain * np.exp(-2j * np.pi * p.distance / lam) * near_steering(cfg, p.angle, p.distance)
-    return np.sqrt(cfg.num_antennas / len(paths)) * h
+    return synth_channels(cfg, [paths])[0]
+
+
+def synth_channels(cfg: ArrayConfig, path_sets: list[list[PathParams]]) -> np.ndarray:
+    """The (K, N) channels of K path sets of one length L; row k is
+    :func:`synth_channel` of path set k.
+
+    One :func:`_steering_rows` call builds the K*L steering rows. Each path
+    term is its coefficient times its row, and each channel adds its terms
+    in path order to zeros, so a row does not depend on K or on its place.
+    """
+    lengths = {len(paths) for paths in path_sets}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError(f"synth_channels needs path sets of one nonzero length, got {lengths}")
+    (num_paths,) = lengths
+    flat = [p for paths in path_sets for p in paths]
+    gain = np.array([p.gain for p in flat], dtype=np.complex128)
+    dist = np.array([p.distance for p in flat], dtype=np.float64)
+    angle = np.array([p.angle for p in flat], dtype=np.float64)
+    rows = _steering_rows(cfg, angle[:, None], dist[:, None])
+    # g e^{-j2pi r/lam} rounded as the scalar expression of one path rounds
+    # it: the exponent is divided by lam (numpy's complex division would
+    # multiply by 1/lam), and each of the product's four terms is rounded
+    # (numpy's complex array loop may fuse them)
+    rot = np.zeros(len(flat), dtype=np.complex128)
+    rot.imag = -2.0 * np.pi * dist / cfg.carrier_wavelength
+    np.exp(rot, out=rot)
+    coef = np.empty_like(rot)
+    coef.real = gain.real * rot.real - gain.imag * rot.imag
+    coef.imag = gain.real * rot.imag + gain.imag * rot.real
+    # coef times row, the operand order of a scalar times a vector; the
+    # in-place rows *= coef[:, None] rounds differently
+    terms = np.multiply(coef[:, None], rows, out=rows).reshape(
+        len(path_sets), num_paths, cfg.num_antennas)
+    h = np.zeros((len(path_sets), cfg.num_antennas), dtype=np.complex128)
+    for path in range(num_paths):
+        h += terms[:, path]
+    return np.multiply(np.sqrt(cfg.num_antennas / num_paths), h, out=h)
 
 
 def sample_paths(rng: np.random.Generator, scenario: ScenarioConfig) -> list[PathParams]:
-    """Draw the path set for one channel realization; path 0 is the LoS path."""
+    """Draw the path set for one channel realization; path 0 is the LoS path.
+
+    Each path takes, in this order, its gain's real and imaginary normals,
+    then the uniforms of its distance and its angle, scaled as
+    ``Generator.uniform`` scales them. Stored datasets depend on this order.
+    """
     r_lo, r_hi = scenario.distance_range
     a_lo, a_hi = scenario.angle_range
     paths = []
     for var in scenario.gain_variances:
-        gain = np.sqrt(var / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
-        r = rng.uniform(r_lo, r_hi)
-        theta = rng.uniform(a_lo, a_hi)
+        g_re, g_im = rng.standard_normal(2).tolist()
+        u_r, u_a = rng.random(2).tolist()
+        gain = np.sqrt(var / 2.0) * complex(g_re, g_im)
+        theta = a_lo + (a_hi - a_lo) * u_a
         # uniform() can return the closed upper end; the angle domain is half-open
         if theta >= 1.0:
             theta = np.nextafter(1.0, -1.0)
-        paths.append(PathParams(gain=gain, distance=r, angle=theta))
+        paths.append(PathParams(gain=gain, distance=r_lo + (r_hi - r_lo) * u_r, angle=theta))
     return paths

@@ -8,6 +8,7 @@ normalized to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +55,12 @@ def measure(
     """
     if w.shape != h.shape:
         raise ValueError(f"codeword/channel shape mismatch: {w.shape} vs {h.shape}")
-    y = np.sqrt(link.transmit_power) * np.vdot(w, h)
+    y = math.sqrt(link.transmit_power) * np.vdot(w, h)
     if link.noise_variance > 0:
-        noise = np.empty(len(w), dtype=np.complex128)
-        noise.real, noise.imag = rng.standard_normal((2, len(w)))
-        y = y + np.vdot(w, noise) * np.sqrt(link.noise_variance / 2.0)
+        # the transposed copy interleaves row 0 of the draw, the real parts,
+        # with row 1, the imaginary parts
+        noise = rng.standard_normal((2, len(w))).T.copy().view(np.complex128)
+        y = y + np.vdot(w, noise) * math.sqrt(link.noise_variance / 2.0)
     return complex(y)
 
 
@@ -67,10 +69,7 @@ def measure_wide(
 ) -> MeasurementVector:
     """Test every beam of a far-field codebook in sequence, independent
     noise per beam."""
-    values = np.array(
-        [measure(wide.codewords[m], h, link, rng) for m in range(wide.num_wide)],
-        dtype=np.complex128,
-    )
+    values = np.array([measure(w, h, link, rng) for w in wide.codewords], dtype=np.complex128)
     return MeasurementVector(values=values)
 
 

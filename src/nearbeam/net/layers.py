@@ -43,6 +43,13 @@ class Layer:
         return
         yield
 
+    @staticmethod
+    def array_shapes(**spec) -> list[tuple[str, tuple]]:
+        """(name, shape) of each array that :meth:`parameters` and then
+        :meth:`state_arrays` yield on a layer built from ``spec``, known
+        without building it."""
+        return []
+
     def spec(self) -> dict:
         return {"kind": self.kind}
 
@@ -69,6 +76,10 @@ class Conv1D(Layer):
         self.grad_bias = np.zeros_like(self.bias)
         self._cols = None
         self._in_shape = None
+
+    @staticmethod
+    def array_shapes(in_channels, out_channels, kernel=3, padding=1):
+        return [("weight", (out_channels, in_channels, kernel)), ("bias", (out_channels,))]
 
     def forward(self, x, training=False):
         b, c, length = x.shape
@@ -148,6 +159,10 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self._cache = None
+
+    @staticmethod
+    def array_shapes(channels, momentum=0.1, eps=1e-8):
+        return [(name, (channels,)) for name in ("gamma", "beta", "running_mean", "running_var")]
 
     def _shaped(self, v, ndim):
         return v.reshape(1, -1, 1) if ndim == 3 else v
@@ -272,6 +287,10 @@ class FullyConnected(Layer):
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
+
+    @staticmethod
+    def array_shapes(in_features, out_features):
+        return [("weight", (in_features, out_features)), ("bias", (out_features,))]
 
     def forward(self, x, training=False):
         if x.shape[1] != self.in_features:

@@ -69,6 +69,22 @@ class NetworkModel:
     def __init__(self, layers: list[Layer], input_length: int, head_size: int):
         if not isinstance(layers[-1], SoftmaxHead):
             raise ValueError("the final layer must be a SoftmaxHead")
+        fc_widths = [layer.out_features for layer in layers if isinstance(layer, FullyConnected)]
+        if layers[-1].classes != head_size or fc_widths[-1:] not in ([], [head_size]):
+            raise ValueError(f"head size {head_size} disagrees with the softmax's "
+                             f"{layers[-1].classes} classes or the last FC's {fc_widths[-1:]}")
+        if input_length < 1:
+            raise ValueError(f"input length must be positive, got {input_length}")
+        length = input_length
+        for layer in layers:
+            if isinstance(layer, Conv1D):
+                length += 2 * layer.padding - layer.kernel + 1
+            elif isinstance(layer, AvgPoolToLength):
+                if not (length >= 1 and length % layer.target_len == 0):
+                    raise ValueError(f"the stack cannot take input length {input_length}: "
+                                     f"the pooling layer needs a positive multiple of "
+                                     f"{layer.target_len}")
+                length = layer.target_len
         self.layers = layers
         self.input_length = input_length
         self.head_size = head_size

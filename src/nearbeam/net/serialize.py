@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 
+from .layers import LAYER_KINDS
 from .model import NetworkModel, model_from_specs
 
 _MAGIC = b"NBNM"
@@ -46,6 +48,18 @@ def save_model(path, model: NetworkModel) -> None:
         f.write(bytes(blob))
 
 
+def _spec_arrays(specs) -> list[tuple[str, tuple]]:
+    """(name, shape) of each array the layer specs imply, in manifest order."""
+    arrays = []
+    for idx, spec in enumerate(specs):
+        kwargs = dict(spec)
+        for name, shape in LAYER_KINDS[kwargs.pop("kind")].array_shapes(**kwargs):
+            if not all(type(dim) is int and dim >= 1 for dim in shape):
+                raise ValueError(f"layer {idx} {name} has shape {shape}")
+            arrays.append((f"layer{idx}.{name}", shape))
+    return arrays
+
+
 def load_model(path) -> NetworkModel:
     with open(path, "rb") as f:
         blob = f.read()
@@ -60,16 +74,20 @@ def load_model(path) -> NetworkModel:
     offset = 12 + header_len
     try:
         header = json.loads(blob[12:offset])
-        model = model_from_specs(header["layers"], header["input_length"], header["head_size"])
         manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        # sizes are compared before any array is allocated, so a huge layer
+        # in the header is this error and not a MemoryError
+        if manifest != _spec_arrays(header["layers"]):
+            raise NetModelError("model file's array manifest does not match its layers")
+        if len(blob) - 32 - offset != 8 * sum(math.prod(shape) for _, shape in manifest):
+            raise NetModelError("model file has trailing or missing payload bytes")
+        model = model_from_specs(header["layers"], header["input_length"], header["head_size"])
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         # ValueError covers JSON that does not parse and text that is not UTF-8
         raise NetModelError(f"model header describes no valid model: {exc!r}") from exc
     arrays = list(model.persistent_arrays())
     if manifest != [(name, value.shape) for name, value in arrays]:
         raise NetModelError("model file's array manifest does not match its layers")
-    if len(blob) - 32 - offset != 8 * sum(value.size for _, value in arrays):
-        raise NetModelError("model file has trailing or missing payload bytes")
     for name, value in arrays:
         data = np.frombuffer(blob, dtype="<f8", count=value.size, offset=offset)
         if not np.isfinite(data).all():

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from beam_reference import reference_beam_tests
+from channel_reference import reference_channel, reference_paths
 from nearbeam import dataset
 from nearbeam.codebook import build_polar_codebook, build_wide_codebook, index_to_pair
 from nearbeam.dataset import (
@@ -17,7 +18,7 @@ from nearbeam.dataset import (
     split_sizes,
     spot_check_labels,
 )
-from nearbeam.geometry import ArrayConfig, ScenarioConfig, sample_paths, synth_channel
+from nearbeam.geometry import ArrayConfig, ScenarioConfig
 from nearbeam.measurement import link_from_snr_db
 
 
@@ -83,6 +84,21 @@ class TestGeneration:
                 _, n_star, s_star, _ = generate_sample(seed, scenario, polar, wide, (0.0, 20.0))
                 assert (ds.label_n[i], ds.label_s[i]) == (n_star, s_star)
 
+    @pytest.mark.parametrize("n,t", [(16, 4), (33, 3), (64, 4)])
+    def test_samples_equal_generate_sample_exactly(self, n, t):
+        # a chunk and two samples: each sample, wherever it sits in its
+        # chunk, is the one its seed regenerates alone
+        count = dataset._LABEL_CHUNK + 2
+        cfg, scenario = ArrayConfig(n), ScenarioConfig()
+        polar = build_polar_codebook(cfg, 5, 10.0, 60.0)
+        wide = build_wide_codebook(cfg, t)
+        ds = generate_dataset(cfg, scenario, 5, 10.0, 60.0, t, num_samples=count, base_seed=n)
+        for i, seed in enumerate(ds.seeds):
+            values, n_star, s_star, snr_db = generate_sample(seed, scenario, polar, wide,
+                                                             (0.0, 20.0))
+            npt.assert_array_equal(ds.yw[i], values)
+            assert (ds.label_n[i], ds.label_s[i], ds.snr_db[i]) == (n_star, s_star, snr_db)
+
     def test_every_ring_appears_at_desk_scale(self):
         ds = generate_dataset(
             ArrayConfig(64), ScenarioConfig(), 5, 10.0, 60.0, 4,
@@ -106,7 +122,7 @@ class TestStreamCompatibility:
         npt.assert_array_equal(ds.seeds, seeds)
         for i, seed in enumerate(seeds):
             rng = np.random.default_rng(int(seed))
-            h = synth_channel(cfg, sample_paths(rng, scenario))
+            h = reference_channel(cfg, reference_paths(rng, scenario))
             snr_db = rng.uniform(0.0, 20.0)
             yw = reference_beam_tests(wide.codewords, h, link_from_snr_db(snr_db), rng)
             best = int(np.argmax([abs(np.vdot(w, h)) for w in polar.codewords])) + 1

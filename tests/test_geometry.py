@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from channel_reference import reference_channel, reference_paths
 from nearbeam.codebook import build_wide_codebook
 from nearbeam.geometry import (
     ArrayConfig,
@@ -12,6 +13,7 @@ from nearbeam.geometry import (
     near_steering,
     sample_paths,
     synth_channel,
+    synth_channels,
 )
 
 
@@ -201,7 +203,63 @@ class TestSynthChannel:
         assert np.max(rel) <= 1e-12
 
 
+class TestSynthChannels:
+    @pytest.mark.parametrize("n", [16, 33, 64, 512])
+    @pytest.mark.parametrize("num_paths", [1, 3])
+    def test_rows_equal_per_path_reference(self, n, num_paths):
+        # bytes, so a flipped sign of zero counts; the zero-variance path
+        # has zero gains
+        cfg = ArrayConfig(n)
+        scenario = ScenarioConfig(num_paths=num_paths,
+                                  gain_variances=(1.0, 0.0, 0.01)[:num_paths],
+                                  distance_range=(1.0, 200.0))
+        rng = np.random.default_rng(n + num_paths)
+        path_sets = [sample_paths(rng, scenario) for _ in range(150)]
+        block = synth_channels(cfg, path_sets)
+        assert block.shape == (150, n)
+        for row, paths in zip(block, path_sets):
+            assert row.tobytes() == reference_channel(cfg, paths).tobytes()
+        assert synth_channel(cfg, path_sets[7]).tobytes() == block[7].tobytes()
+
+    def test_hand_made_paths(self):
+        # gains that are Python floats and complex numbers, an angle at -1
+        cfg = ArrayConfig(12)
+        path_sets = [[PathParams(gain=1.0, distance=20.0, angle=0.25),
+                      PathParams(gain=-0.3 + 0.8j, distance=3.5, angle=-1.0)],
+                     [PathParams(gain=2j, distance=1e4, angle=0.0),
+                      PathParams(gain=0.0, distance=15.0, angle=0.5)]]
+        block = synth_channels(cfg, path_sets)
+        for row, paths in zip(block, path_sets):
+            assert row.tobytes() == reference_channel(cfg, paths).tobytes()
+
+    def test_path_sets_of_different_lengths_rejected(self):
+        paths = sample_paths(np.random.default_rng(0), ScenarioConfig())
+        with pytest.raises(ValueError, match="one nonzero length"):
+            synth_channels(ArrayConfig(8), [paths, paths[:2]])
+        with pytest.raises(ValueError, match="one nonzero length"):
+            synth_channels(ArrayConfig(8), [])
+
+
 class TestSamplePaths:
+    @pytest.mark.parametrize("scenario", [
+        ScenarioConfig(),
+        ScenarioConfig(num_paths=2, gain_variances=(0.0, 0.5), distance_range=(1.5, 2.7),
+                       angle_range=(-0.3, 0.9)),
+        ScenarioConfig(num_paths=1, gain_variances=(4.0,), distance_range=(30.0, 30.0),
+                       angle_range=(0.999, 1.0)),
+    ], ids=["default", "narrow", "one-path"])
+    def test_matches_four_scalar_draws_per_path(self, scenario):
+        # equal values of equal types, and the generators end in one state
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(2000):
+            paths, expected = sample_paths(rng, scenario), reference_paths(ref_rng, scenario)
+            for p, q in zip(paths, expected, strict=True):
+                assert type(p.gain) is type(q.gain)
+                assert complex(p.gain).real.hex() == complex(q.gain).real.hex()
+                assert complex(p.gain).imag.hex() == complex(q.gain).imag.hex()
+                assert (p.distance.hex(), p.angle.hex()) == (q.distance.hex(), q.angle.hex())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_zero_variance_means_zero_gains(self):
         scenario = ScenarioConfig(num_paths=2, gain_variances=(0.0, 0.0))
         paths = sample_paths(np.random.default_rng(0), scenario)

@@ -442,6 +442,54 @@ class TestHeaderChecks:
             load_model(path)
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(head_size=99),
+        lambda h: h["layers"][-1].update(classes=99),
+    ], ids=["header-head-size", "softmax-classes"])
+    def test_head_size_disagreeing_with_the_stack_rejected(self, tmp_path, edit):
+        # the last FC layer has 4 outputs in every case
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20)))
+        _rewrite_model(path, header=edit)
+        with pytest.raises(NetModelError, match="head size"):
+            load_model(path)
+
+    @pytest.mark.parametrize("input_length", [5, 6, 0, -8])
+    def test_input_length_the_stack_cannot_take_rejected(self, tmp_path, input_length):
+        # the pooling layer keeps 4 of the 8 beams: lengths that are not a
+        # positive multiple of 4 cannot pass it
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20), pool_target=4))
+        _rewrite_model(path, header=lambda h: h.update(input_length=input_length))
+        with pytest.raises(NetModelError, match="input length"):
+            load_model(path)
+
+    def test_other_multiple_of_the_pool_target_loads(self, tmp_path):
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20), pool_target=4))
+        _rewrite_model(path, header=lambda h: h.update(input_length=12))
+        assert load_model(path).forward(np.zeros((1, 2, 12))).shape == (1, 4)
+
+    @pytest.mark.parametrize("with_manifest", [False, True], ids=["spec", "spec-and-manifest"])
+    def test_huge_layer_rejected_before_allocation(self, tmp_path, with_manifest):
+        # a 10^7 x 10^7 FC layer would need 800 TB; its size is compared with
+        # the manifest and the payload before anything is allocated
+        huge = 10 ** 7
+
+        def edit(h):
+            h["layers"][8].update(in_features=huge, out_features=huge)
+            if with_manifest:
+                shapes = {"layer8.weight": [huge, huge], "layer8.bias": [huge]}
+                for entry in h["arrays"]:
+                    entry["shape"] = shapes.get(entry["name"], entry["shape"])
+
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20)))
+        _rewrite_model(path, header=edit)
+        with pytest.raises(NetModelError, match="manifest|payload"):
+            load_model(path)
+
+
 class TestSnapshotRestore:
     def test_restore_undoes_training_steps(self):
         rng = np.random.default_rng(17)
