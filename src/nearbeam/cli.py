@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Subcommands cover the full pipeline: gen-dataset, train, eval-heads,
-run-experiment, export-codebook. Every subcommand takes a config source
-(--config file and/or a --desk-scale / --paper-scale preset), a --seed, and
-an --out-dir. The exhaustive-sweep baseline alone is run-experiment with
-``experiment: {schemes: [sweep]}`` in the config.
+run-experiment, export-codebook. Each takes only the options it reads. All
+but eval-heads, which reads N, S and M from the dataset and heads it loads,
+need a config source (--config file and/or a --desk-scale / --paper-scale
+preset). The sweep baseline alone is run-experiment with ``schemes: [sweep]``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from .codebook import build_polar_codebook, build_wide_codebook, export_codebook
 from .config import ConfigError, FullConfig, desk_scale_config, load_config, paper_scale_config
 from .dataset import DatasetFormatError, export_labels_csv, generate_dataset, load_dataset, save_dataset
-from .experiments import run_experiment
+from .experiments import HEAD_SCHEMES, run_experiment
 from .net import NetModelError, load_model, save_model
 from .training import evaluate_heads, train_heads
 
@@ -27,17 +27,20 @@ DIRECTION_FILE = "direction_model.nbnm"
 DISTANCE_FILE = "distance_model.nbnm"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_out_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out-dir", type=Path, default=Path("out"),
+                        help="output directory (default ./out)")
+
+
+def _add_config(parser: argparse.ArgumentParser) -> None:
+    """The config source and --out-dir."""
     parser.add_argument("--config", type=Path, help="YAML config file")
     scale = parser.add_mutually_exclusive_group()
     scale.add_argument("--desk-scale", action="store_true",
                        help="preset: N=64, S=5, T=4, 20000 samples")
     scale.add_argument("--paper-scale", action="store_true",
                        help="preset: N=512, S=5, T=4, 100000 samples")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--out-dir", type=Path, default=Path("out"),
-                        help="output directory (default ./out)")
-    parser.add_argument("--verbose", action="store_true")
+    _add_out_dir(parser)
 
 
 def _resolve_config(parser: argparse.ArgumentParser, args) -> FullConfig:
@@ -51,6 +54,10 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> FullConfig:
 
 def _dataset_path(args) -> Path:
     return args.dataset if args.dataset is not None else args.out_dir / DATASET_FILE
+
+
+def _models_dir(args) -> Path:
+    return args.models_dir if args.models_dir is not None else args.out_dir
 
 
 def _load_heads(models_dir: Path, num_wide: int, num_angles: int, num_rings: int):
@@ -127,9 +134,8 @@ def cmd_train(parser, args) -> int:
 
 
 def cmd_eval_heads(parser, args) -> int:
-    _resolve_config(parser, args)
     ds = load_dataset(_dataset_path(args))
-    dir_model, dist_model = _load_heads(args.models_dir, ds.num_wide, ds.num_angles,
+    dir_model, dist_model = _load_heads(_models_dir(args), ds.num_wide, ds.num_angles,
                                         ds.num_rings)
     report = evaluate_heads(dir_model, dist_model, ds, split=args.split,
                             ks=tuple(args.top_k))
@@ -143,10 +149,9 @@ def cmd_eval_heads(parser, args) -> int:
 def cmd_run_experiment(parser, args) -> int:
     cfg = _resolve_config(parser, args)
     dir_model = dist_model = None
-    if args.stub is None and any(s in ("original", "improved") for s in cfg.experiment.schemes):
-        models_dir = args.models_dir if args.models_dir is not None else args.out_dir
+    if args.stub is None and any(s in HEAD_SCHEMES for s in cfg.experiment.schemes):
         a = cfg.array
-        dir_model, dist_model = _load_heads(models_dir, a.num_antennas // a.subarray_factor,
+        dir_model, dist_model = _load_heads(_models_dir(args), a.num_antennas // a.subarray_factor,
                                             a.num_antennas, a.num_rings)
     records, summary = run_experiment(
         cfg, master_seed=args.seed, dir_model=dir_model, dist_model=dist_model,
@@ -190,34 +195,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-dataset", help="generate a labeled measurement dataset")
-    _add_common(p)
+    _add_config(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--dataset", type=Path, help="dataset file (default OUT_DIR/dataset.nbds)")
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("train", help="train the direction and distance heads")
-    _add_common(p)
+    _add_config(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--dataset", type=Path, help="dataset file (default OUT_DIR/dataset.nbds)")
+    p.add_argument("--verbose", action="store_true", help="print every epoch")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-heads", help="report head accuracies on a split")
-    _add_common(p)
+    _add_out_dir(p)
     p.add_argument("--dataset", type=Path, help="dataset file (default OUT_DIR/dataset.nbds)")
-    p.add_argument("--models-dir", type=Path, default=Path("out"))
+    p.add_argument("--models-dir", type=Path, help="directory with the heads (default OUT_DIR)")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--top-k", type=_top_k, nargs="+", default=[1, 5])
     p.set_defaults(func=cmd_eval_heads)
 
     p = sub.add_parser("run-experiment",
                        help="Monte-Carlo SNR sweep over the configured schemes")
-    _add_common(p)
-    p.add_argument("--models-dir", type=Path, help="directory with trained model files")
+    _add_config(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--models-dir", type=Path, help="directory with the heads (default OUT_DIR)")
     p.add_argument("--stub", choices=["oracle", "uniform"],
                    help="feed the schemes fixed head probabilities instead of "
                         "trained heads: one-hot on the sweep oracle, or uniform")
     p.set_defaults(func=cmd_run_experiment)
 
     p = sub.add_parser("export-codebook", help="write a codebook binary")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--kind", choices=["polar", "narrow", "wide"], default="polar")
     p.set_defaults(func=cmd_export_codebook)
     return parser

@@ -119,9 +119,6 @@ class FullConfig:
                            fc_widths=tuple(n.fc_widths), pool_target=n.pool_target,
                            verbose=verbose)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def desk_scale_config() -> FullConfig:
     """Laptop-sized default: N=64, S=5, T=4 (M=16), 20k samples."""

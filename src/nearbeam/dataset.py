@@ -150,8 +150,8 @@ def generate_dataset(
     samples at a time and equal that function's.
     """
     lo, hi = snr_range_db
-    if hi < lo:
-        raise ValueError(f"invalid snr_range_db {snr_range_db}")
+    if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
+        raise ValueError(f"invalid snr_range_db {snr_range_db}: need finite low <= high")
     polar = build_polar_codebook(array_cfg, num_rings, r_min, r_max)
     wide = build_wide_codebook(array_cfg, subarray_factor)
     n_train, n_val, n_test = split_sizes(num_samples, val_fraction, test_fraction)

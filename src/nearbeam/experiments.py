@@ -69,6 +69,8 @@ def effective_rate(w_hat, h, link, beams_tested: int, exp: ExperimentSection) ->
 
 
 _SCHEME_IDS = {"sweep": 0, "original": 1, "improved": 2, "random": 3, "farfield": 4}
+# the schemes that read the direction and distance heads
+HEAD_SCHEMES = ("original", "improved")
 
 
 def run_experiment(
@@ -87,7 +89,7 @@ def run_experiment(
     written there.
     """
     exp = cfg.experiment
-    needs_models = any(s in ("original", "improved") for s in exp.schemes)
+    needs_models = any(s in HEAD_SCHEMES for s in exp.schemes)
     if needs_models and stub is None and (dir_model is None or dist_model is None):
         raise ValueError("original/improved schemes need trained models or a stub mode")
     if stub not in (None, "oracle", "uniform"):

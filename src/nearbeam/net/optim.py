@@ -19,22 +19,19 @@ class Adam:
     stay in the L2 cache while every operation of the update passes over
     them. Each element sees exactly the operations of ::
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        value -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
+        value -= lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPS)
 
     in that order, so the result does not depend on the block size.
     """
 
     BLOCK = 16384
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, model, lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, model, lr: float = 0.01):
         self.model = model
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros(value.size) for _, value, _ in model.parameters()]
         self._v = [np.zeros(value.size) for _, value, _ in model.parameters()]
@@ -43,9 +40,9 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
+        c1, c2 = 1.0 - self.BETA1, 1.0 - self.BETA2
         for (_, value, grad), m, v in zip(self.model.parameters(), self._m, self._v):
             if not value.flags.c_contiguous:
                 raise ValueError("Adam updates parameters in place and needs C-contiguous arrays")
@@ -54,10 +51,10 @@ class Adam:
                 hi = min(lo + self.BLOCK, flat.size)
                 mb, vb, gb = m[lo:hi], v[lo:hi], g[lo:hi]
                 step, denom = self._scratch[:, :hi - lo]
-                mb *= self.beta1
+                mb *= self.BETA1
                 np.multiply(c1, gb, out=step)
                 mb += step
-                vb *= self.beta2
+                vb *= self.BETA2
                 np.multiply(c2, gb, out=step)
                 step *= gb
                 vb += step
@@ -65,6 +62,6 @@ class Adam:
                 np.multiply(self.lr, step, out=step)
                 np.divide(vb, b2c, out=denom)
                 np.sqrt(denom, out=denom)
-                denom += self.eps
+                denom += self.EPS
                 step /= denom
                 flat[lo:hi] -= step

@@ -1,8 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
 import nearbeam.cli as cli_module
-from nearbeam.cli import main
+from nearbeam.cli import build_parser, main
 from nearbeam.codebook import import_codebook
 from nearbeam.dataset import generate_dataset, load_dataset, save_dataset
 from nearbeam.geometry import ArrayConfig, ScenarioConfig
@@ -49,6 +51,47 @@ def _save_heads(models_dir, num_wide, num_angles, num_rings):
         save_model(models_dir / name, model)
 
 
+# every option of every subcommand, each one read by the subcommand's code
+SUBCOMMAND_OPTIONS = {
+    "gen-dataset": {"--config", "--desk-scale", "--paper-scale", "--seed", "--out-dir",
+                    "--dataset"},
+    "train": {"--config", "--desk-scale", "--paper-scale", "--seed", "--out-dir", "--dataset",
+              "--verbose"},
+    "eval-heads": {"--out-dir", "--dataset", "--models-dir", "--split", "--top-k"},
+    "run-experiment": {"--config", "--desk-scale", "--paper-scale", "--seed", "--out-dir",
+                       "--models-dir", "--stub"},
+    "export-codebook": {"--config", "--desk-scale", "--paper-scale", "--out-dir", "--kind"},
+}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_has_exactly_its_options(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {opt for action in p._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, p in sub.choices.items()}
+        assert found == SUBCOMMAND_OPTIONS
+        assert sum(len(opts) for opts in found.values()) == 30
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-dataset", ["--verbose"]),
+        ("eval-heads", ["--config", "c.yaml"]),
+        ("eval-heads", ["--desk-scale"]),
+        ("eval-heads", ["--paper-scale"]),
+        ("eval-heads", ["--seed", "99"]),
+        ("eval-heads", ["--verbose"]),
+        ("run-experiment", ["--verbose"]),
+        ("export-codebook", ["--seed", "1"]),
+        ("export-codebook", ["--verbose"]),
+    ])
+    def test_option_the_subcommand_does_not_read_is_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 class TestArgumentHandling:
     def test_missing_config_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -85,7 +128,7 @@ class TestArgumentHandling:
         (tmp_path / "direction_model.nbnm").write_bytes(b"NBNM" + bytes(64))
         (tmp_path / "distance_model.nbnm").write_bytes(b"NBNM" + bytes(64))
         capsys.readouterr()
-        assert main(["eval-heads", *args, "--models-dir", str(tmp_path)]) == 2
+        assert main(["eval-heads", "--out-dir", str(tmp_path), "--models-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checksum mismatch" in err
 
@@ -109,7 +152,7 @@ class TestArgumentHandling:
         assert main(["gen-dataset", *args]) == 0
         _save_heads(tmp_path, num_wide=4, num_angles=16, num_rings=5)  # the dataset has S=3
         capsys.readouterr()
-        assert main(["eval-heads", *args, "--models-dir", str(tmp_path)]) == 2
+        assert main(["eval-heads", "--out-dir", str(tmp_path), "--models-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "distance_model.nbnm" in err
         assert "expected M=4 and S=3" in err
@@ -117,7 +160,7 @@ class TestArgumentHandling:
     def test_top_k_below_one_is_a_usage_error(self, tmp_path, capsys):
         # rejected while parsing, before the (missing) dataset is read
         with pytest.raises(SystemExit) as exc:
-            main(["eval-heads", "--desk-scale", "--dataset", str(tmp_path / "none.nbds"),
+            main(["eval-heads", "--dataset", str(tmp_path / "none.nbds"),
                   "--models-dir", str(tmp_path), "--top-k", "1", "0"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -193,7 +236,7 @@ class TestPipeline:
         assert history[0] == "head,epoch,lr,train_loss,val_loss,val_top1"
         assert len(history) == 1 + 2 * 2  # two heads, two epochs each
 
-        assert main(["eval-heads", *args, "--models-dir", str(out)]) == 0
+        assert main(["eval-heads", "--out-dir", str(out)]) == 0
         assert (out / "eval_report.json").exists()
         report = capsys.readouterr().out
         assert '"direction"' in report
@@ -203,6 +246,20 @@ class TestPipeline:
         assert trials[0] == "scheme,snr_db,trial,G_N,rate,eff_rate,beams,seed"
         assert len(trials) == 1 + 4 * 5
         assert (out / "summary.csv").exists()
+
+    def test_models_dir_defaults_to_out_dir(self, tiny_cfg, tmp_path, monkeypatch):
+        # run from an empty directory, so a default of ./out finds nothing
+        out = tmp_path / "run1"
+        assert main(["gen-dataset", "--config", str(tiny_cfg), "--out-dir", str(out)]) == 0
+        _save_heads(out, num_wide=4, num_angles=16, num_rings=3)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["eval-heads", "--out-dir", str(out)]) == 0
+        assert (out / "eval_report.json").exists()
+        assert main(["run-experiment", "--config", str(tiny_cfg), "--out-dir", str(out)]) == 0
+        assert (out / "trials.csv").exists()
+        assert list(cwd.iterdir()) == []
 
     def test_train_reports_the_saved_epochs_val_top1(self, tiny_cfg, tmp_path, capsys,
                                                     monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -176,7 +177,7 @@ class TestLoadConfig:
         assert cfg.array.num_antennas == 512
 
     def test_round_trips_to_dict(self):
-        d = desk_scale_config().to_dict()
+        d = dataclasses.asdict(desk_scale_config())
         assert set(d) == {"array", "scenario", "link", "net", "train", "experiment"}
 
     def test_readme_config_block_is_the_desk_preset(self, tmp_path):
@@ -186,6 +187,6 @@ class TestLoadConfig:
         path.write_text(block)
 
         def plain(cfg):
-            return json.loads(json.dumps(cfg.to_dict()))
+            return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
         assert plain(load_config(path)) == plain(desk_scale_config())

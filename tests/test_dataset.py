@@ -107,6 +107,12 @@ class TestGeneration:
         counts = np.bincount(ds.label_s, minlength=6)[1:]
         assert np.all(counts > 0)
 
+    @pytest.mark.parametrize("snr_range", [(float("nan"), 10.0), (0.0, float("inf")), (10.0, 0.0)])
+    def test_bad_snr_range_is_a_named_error(self, snr_range):
+        with pytest.raises(ValueError, match=r"invalid snr_range_db \("):
+            generate_dataset(ArrayConfig(16), ScenarioConfig(), 3, 10.0, 60.0, 4,
+                             num_samples=10, base_seed=0, snr_range_db=snr_range)
+
 
 class TestStreamCompatibility:
     def test_matches_per_sample_reference_loop(self):

@@ -30,16 +30,10 @@ def uniform(classes):
     return FixedProbs(np.full(classes, 1.0 / classes))
 
 
-class RandomProbStub:
+def random_probs(classes, seed):
     """Arbitrary fixed probability head, for structural scheme properties."""
-
-    def __init__(self, classes, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(0.01, 1.0, classes)
-        self.p = p / p.sum()
-
-    def predict_proba(self, values):
-        return self.p
+    p = np.random.default_rng(seed).uniform(0.01, 1.0, classes)
+    return FixedProbs(p / p.sum())
 
 
 def random_channel(rng, cfg):
@@ -124,7 +118,7 @@ class TestImprovedScheme:
         rng = np.random.default_rng(1)
         h = random_channel(rng, cfg)
         yw = np.zeros(128, dtype=complex)  # M = 128 wide beams
-        res = improved_scheme(yw, RandomProbStub(512, 0), RandomProbStub(5, 1),
+        res = improved_scheme(yw, random_probs(512, 0), random_probs(5, 1),
                               book, h, NOISELESS, rng, 10, 2)
         assert res.beams_tested == 148
         assert len(res.aux["candidates"]) == 20
@@ -133,7 +127,7 @@ class TestImprovedScheme:
         cfg = ArrayConfig(32)
         book = build_polar_codebook(cfg, 5, 10.0, 60.0)
         rng = np.random.default_rng(2)
-        dir_stub, dist_stub = RandomProbStub(32, 3), RandomProbStub(5, 4)
+        dir_stub, dist_stub = random_probs(32, 3), random_probs(5, 4)
         for _ in range(100):
             h = random_channel(rng, cfg)
             res = improved_scheme(np.zeros(8, dtype=complex), dir_stub, dist_stub,
@@ -144,7 +138,7 @@ class TestImprovedScheme:
         cfg = ArrayConfig(16)
         book = build_polar_codebook(cfg, 3, 10.0, 60.0)
         rng = np.random.default_rng(3)
-        dir_stub, dist_stub = RandomProbStub(16, 5), RandomProbStub(3, 6)
+        dir_stub, dist_stub = random_probs(16, 5), random_probs(3, 6)
         h = random_channel(rng, cfg)
         yw = np.zeros(4, dtype=complex)
         orig = original_scheme(yw, dir_stub, dist_stub, book)
@@ -156,7 +150,7 @@ class TestImprovedScheme:
         cfg = ArrayConfig(16)
         book = build_polar_codebook(cfg, 3, 10.0, 60.0)
         rng = np.random.default_rng(4)
-        dir_stub, dist_stub = RandomProbStub(16, 7), RandomProbStub(3, 8)
+        dir_stub, dist_stub = random_probs(16, 7), random_probs(3, 8)
         for _ in range(200):
             h = random_channel(rng, cfg)
             yw = np.zeros(4, dtype=complex)
@@ -170,7 +164,7 @@ class TestImprovedScheme:
         cfg = ArrayConfig(16)
         book = build_polar_codebook(cfg, 4, 10.0, 60.0)
         rng = np.random.default_rng(5)
-        dir_stub, dist_stub = RandomProbStub(16, 9), RandomProbStub(4, 10)
+        dir_stub, dist_stub = random_probs(16, 9), random_probs(4, 10)
         h = random_channel(rng, cfg)
         yw = np.zeros(4, dtype=complex)
         gains = {}
@@ -185,7 +179,7 @@ class TestImprovedScheme:
         cfg = ArrayConfig(16)
         book = build_polar_codebook(cfg, 4, 10.0, 60.0)
         rng = np.random.default_rng(6)
-        dir_stub, dist_stub = RandomProbStub(16, 11), RandomProbStub(4, 12)
+        dir_stub, dist_stub = random_probs(16, 11), random_probs(4, 12)
         h = random_channel(rng, cfg)
         yw = np.zeros(4, dtype=complex)
         small = improved_scheme(yw, dir_stub, dist_stub, book, h, NOISELESS, rng, 2, 2)
@@ -246,5 +240,5 @@ class TestMeasurementVectorInput:
         rng = np.random.default_rng(11)
         h = random_channel(rng, cfg)
         meas = measure_wide(wide, h, link_from_snr_db(10.0), rng)
-        res = original_scheme(meas, RandomProbStub(16, 0), RandomProbStub(3, 1), book)
+        res = original_scheme(meas, random_probs(16, 0), random_probs(3, 1), book)
         assert res.beams_tested == 4
