@@ -112,8 +112,8 @@ def cmd_train(parser, args) -> int:
     try:
         dir_model, dist_model, history = train_heads(ds, cfg.train_config(args.seed, args.verbose))
     except ValueError as exc:
-        # a dataset the heads cannot train on: no val split, or an M that
-        # net.pool_target does not divide
+        # a dataset the heads cannot train on: no train or val split, or an
+        # M that net.pool_target does not divide
         raise DatasetFormatError(f"cannot train on {path}: {exc}") from None
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_model(args.out_dir / DIRECTION_FILE, dir_model)

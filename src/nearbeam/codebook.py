@@ -53,13 +53,9 @@ def ring_grid(num_rings: int, r_min: float, r_max: float) -> np.ndarray:
     """
     if num_rings < 1:
         raise ValueError("num_rings must be >= 1")
-    if not 0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-    if num_rings == 1:
-        inv = np.array([1.0 / r_max])
-    else:
-        inv = np.linspace(1.0 / r_max, 1.0 / r_min, num_rings)
-    return 1.0 / inv
+    if not 0 < r_min < r_max < np.inf:
+        raise ValueError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
+    return 1.0 / np.linspace(1.0 / r_max, 1.0 / r_min, num_rings)
 
 
 def codeword_index(s: int, n: int, num_angles: int, num_rings: int | None = None) -> int:

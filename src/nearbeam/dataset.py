@@ -240,6 +240,8 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(f"unsupported dataset format version {version}")
         if n_train + n_val + n_test != count:
             raise DatasetFormatError("split sizes do not sum to sample count")
+        if count == 0:
+            raise DatasetFormatError("the header declares no samples")
         # the rest of the file, however large the sizes the header declares
         raw = f.read()
     if len(raw) < blob_len:

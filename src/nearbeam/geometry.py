@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -41,8 +42,8 @@ class ArrayConfig:
             object.__setattr__(self, "antenna_spacing", self.carrier_wavelength / 2.0)
         for name in ("carrier_wavelength", "antenna_spacing"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Real) and value > 0):
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"need {self.num_paths} gain variances, got {len(self.gain_variances)}"
             )
-        if not all(v >= 0 for v in self.gain_variances):
-            raise ValueError(f"gain variances must be >= 0, got {self.gain_variances}")
+        if not all(0 <= v < math.inf for v in self.gain_variances):
+            raise ValueError(f"gain variances must be finite and >= 0, got {self.gain_variances}")
         lo, hi = self.distance_range
-        if not 0 < lo <= hi:
+        if not 0 < lo <= hi < math.inf:
             raise ValueError(f"invalid distance_range {self.distance_range}")
         lo, hi = self.angle_range
         if not -1.0 <= lo <= hi <= 1.0:

@@ -24,10 +24,9 @@ class LinkConfig:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        if self.transmit_power < 0:
-            raise ValueError("transmit_power must be >= 0")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        for name in ("transmit_power", "noise_variance"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def link_from_snr_db(snr_db: float) -> LinkConfig:
@@ -40,9 +39,6 @@ class MeasurementVector:
     """Received pilot values for all M wide beams."""
 
     values: np.ndarray  # (M,) complex
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def measure(

@@ -16,7 +16,6 @@ from .model import (
     build_model,
     cross_entropy_batch,
     encode_batch,
-    model_from_specs,
 )
 from .optim import Adam
 from .serialize import NetModelError, load_model, save_model
@@ -25,7 +24,7 @@ __all__ = [
     "AvgPoolToLength", "BatchNorm", "Conv1D", "Flatten", "FullyConnected",
     "Layer", "ReLU", "SoftmaxHead", "layer_from_spec",
     "NetworkModel", "build_model", "cross_entropy_batch",
-    "encode_batch", "model_from_specs",
+    "encode_batch",
     "Adam",
     "NetModelError", "load_model", "save_model",
 ]

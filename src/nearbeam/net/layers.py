@@ -25,7 +25,11 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Layer:
-    """Base layer: stateless by default, no parameters."""
+    """Base layer: stateless by default, no parameters. Its spec holds the
+    constructor's arguments, ``sizes``, and the class's fixed ``constants``."""
+
+    sizes: tuple[str, ...] = ()
+    constants: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -44,33 +48,37 @@ class Layer:
         yield
 
     @staticmethod
-    def array_shapes(**spec) -> list[tuple[str, tuple]]:
+    def array_shapes(**sizes) -> list[tuple[str, tuple]]:
         """(name, shape) of each array that :meth:`parameters` and then
-        :meth:`state_arrays` yield on a layer built from ``spec``, known
+        :meth:`state_arrays` yield on a layer built from ``sizes``, known
         without building it."""
         return []
 
     def spec(self) -> dict:
-        return {"kind": self.kind}
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in self.sizes + self.constants}}
 
 
 class Conv1D(Layer):
-    """1-D convolution over (batch, channels, length), stride 1."""
+    """1-D convolution over (batch, channels, length): kernel 3, padding 1
+    and stride 1, so the output keeps the input's length."""
 
     kind = "conv1d"
+    sizes = ("in_channels", "out_channels")
+    constants = ("kernel", "padding")
+    kernel = 3
+    padding = 1
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 padding: int = 1, rng: np.random.Generator | None = None):
+    def __init__(self, in_channels: int, out_channels: int,
+                 rng: np.random.Generator | None = None):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel = kernel
-        self.padding = padding
-        fan_in = in_channels * kernel
-        fan_out = out_channels * kernel
+        k = self.kernel
         if rng is None:
-            self.weight = np.zeros((out_channels, in_channels, kernel))
+            self.weight = np.zeros((out_channels, in_channels, k))
         else:
-            self.weight = glorot_uniform(rng, (out_channels, in_channels, kernel), fan_in, fan_out)
+            self.weight = glorot_uniform(rng, (out_channels, in_channels, k), in_channels * k,
+                                         out_channels * k)
         self.bias = np.zeros(out_channels)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
@@ -78,50 +86,43 @@ class Conv1D(Layer):
         self._in_shape = None
 
     @staticmethod
-    def array_shapes(in_channels, out_channels, kernel=3, padding=1):
-        return [("weight", (out_channels, in_channels, kernel)), ("bias", (out_channels,))]
+    def array_shapes(in_channels, out_channels):
+        return [("weight", (out_channels, in_channels, Conv1D.kernel)), ("bias", (out_channels,))]
 
     def forward(self, x, training=False):
         b, c, length = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
         p, k = self.padding, self.kernel
-        out_len = length + 2 * p - k + 1
         # channels-last padded input (B, L + 2p, C_in)
         x_pad = np.zeros((b, length + 2 * p, c))
         x_pad[:, p:p + length] = x.transpose(0, 2, 1)
-        # im2col: (B, L_out, C_in, K) -> one matmul against the flattened kernel
-        cols = np.stack([x_pad[:, j:j + out_len] for j in range(k)], axis=-1)
-        cols = cols.reshape(b * out_len, c * k)
+        # im2col: (B, L, C_in, K) -> one matmul against the flattened kernel
+        cols = np.stack([x_pad[:, j:j + length] for j in range(k)], axis=-1)
+        cols = cols.reshape(b * length, c * k)
         out = cols @ self.weight.reshape(self.out_channels, c * k).T + self.bias
         if training:
             self._cols = cols
             self._in_shape = (b, c, length)
-        return out.reshape(b, out_len, self.out_channels).transpose(0, 2, 1)
+        return out.reshape(b, length, self.out_channels).transpose(0, 2, 1)
 
     def backward(self, grad):
         b, c, length = self._in_shape
         p, k = self.padding, self.kernel
-        out_len = grad.shape[2]
-        g2 = grad.transpose(0, 2, 1).reshape(b * out_len, self.out_channels)
+        g2 = grad.transpose(0, 2, 1).reshape(b * length, self.out_channels)
         self.grad_weight = (g2.T @ self._cols).reshape(self.weight.shape)
         self.grad_bias = g2.sum(axis=0)
         dcols = (g2 @ self.weight.reshape(self.out_channels, c * k))
-        dcols = dcols.reshape(b, out_len, c, k)
+        dcols = dcols.reshape(b, length, c, k)
         # col2im, channels-last like the forward's padded input
         dx_pad = np.zeros((b, length + 2 * p, c))
         for j in range(k):
-            dx_pad[:, j:j + out_len] += dcols[:, :, :, j]
+            dx_pad[:, j:j + length] += dcols[:, :, :, j]
         return dx_pad[:, p:p + length].transpose(0, 2, 1)
 
     def parameters(self):
         yield "weight", self.weight, self.grad_weight
         yield "bias", self.bias, self.grad_bias
-
-    def spec(self):
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel": self.kernel,
-                "padding": self.padding}
 
 
 class ReLU(Layer):
@@ -147,11 +148,13 @@ class BatchNorm(Layer):
     """
 
     kind = "batchnorm"
+    sizes = ("channels",)
+    constants = ("momentum", "eps")
+    momentum = 0.1
+    eps = 1e-8
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-8):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.grad_gamma = np.zeros_like(self.gamma)
@@ -161,7 +164,7 @@ class BatchNorm(Layer):
         self._cache = None
 
     @staticmethod
-    def array_shapes(channels, momentum=0.1, eps=1e-8):
+    def array_shapes(channels):
         return [(name, (channels,)) for name in ("gamma", "beta", "running_mean", "running_var")]
 
     def _shaped(self, v, ndim):
@@ -212,10 +215,6 @@ class BatchNorm(Layer):
         yield "running_mean", self.running_mean
         yield "running_var", self.running_var
 
-    def spec(self):
-        return {"kind": self.kind, "channels": self.channels,
-                "momentum": self.momentum, "eps": self.eps}
-
 
 class AvgPoolToLength(Layer):
     """Adaptive average pooling of (B, C, L) down to a target length.
@@ -225,6 +224,7 @@ class AvgPoolToLength(Layer):
     """
 
     kind = "avgpool"
+    sizes = ("target_len",)
 
     def __init__(self, target_len: int = 1):
         if target_len < 1:
@@ -252,9 +252,6 @@ class AvgPoolToLength(Layer):
         dx.reshape(b, c, self.target_len, window)[...] = (grad / window)[..., None]
         return dx
 
-    def spec(self):
-        return {"kind": self.kind, "target_len": self.target_len}
-
 
 class Flatten(Layer):
     kind = "flatten"
@@ -273,6 +270,7 @@ class Flatten(Layer):
 
 class FullyConnected(Layer):
     kind = "fc"
+    sizes = ("in_features", "out_features")
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None):
@@ -308,16 +306,13 @@ class FullyConnected(Layer):
         yield "weight", self.weight, self.grad_weight
         yield "bias", self.bias, self.grad_bias
 
-    def spec(self):
-        return {"kind": self.kind, "in_features": self.in_features,
-                "out_features": self.out_features}
-
 
 class SoftmaxHead(Layer):
     """Softmax over the last axis. Its one backward pass is that of the
     base-10 cross-entropy loss, :meth:`backward_cross_entropy`."""
 
     kind = "softmax"
+    sizes = ("classes",)
 
     def __init__(self, classes: int):
         self.classes = classes
@@ -338,9 +333,6 @@ class SoftmaxHead(Layer):
         dz[np.arange(b), labels] -= 1.0
         return dz / (b * np.log(10.0))
 
-    def spec(self):
-        return {"kind": self.kind, "classes": self.classes}
-
 
 LAYER_KINDS = {
     cls.kind: cls
@@ -348,9 +340,20 @@ LAYER_KINDS = {
 }
 
 
-def layer_from_spec(spec: dict) -> Layer:
-    kwargs = dict(spec)
-    kind = kwargs.pop("kind")
+def layer_class(spec: dict) -> tuple[type[Layer], dict]:
+    """The layer class ``spec`` names, and the constructor's arguments in it."""
+    kind = spec["kind"]
     if kind not in LAYER_KINDS:
         raise ValueError(f"unknown layer kind {kind!r}")
-    return LAYER_KINDS[kind](**kwargs)
+    cls = LAYER_KINDS[kind]
+    return cls, {name: spec[name] for name in cls.sizes}
+
+
+def layer_from_spec(spec: dict) -> Layer:
+    """The layer ``spec`` describes, built from its sizes alone; a spec that
+    sets a class constant otherwise, or adds a field, is a ValueError."""
+    cls, sizes = layer_class(spec)
+    layer = cls(**sizes)
+    if layer.spec() != spec:
+        raise ValueError(f"layer spec {spec} is not the engine's {layer.spec()}")
+    return layer

@@ -34,10 +34,12 @@ from .layers import (
     Layer,
     ReLU,
     SoftmaxHead,
-    layer_from_spec,
 )
 
 PROB_FLOOR = 1e-12
+# the widths of the paper's two conv blocks and three hidden FC blocks
+CONV_CHANNELS = (64, 256)
+FC_WIDTHS = (1024, 1024, 512)
 
 
 def encode_batch(values: np.ndarray) -> np.ndarray:
@@ -75,12 +77,11 @@ class NetworkModel:
                              f"{layers[-1].classes} classes or the last FC's {fc_widths[-1:]}")
         if input_length < 1:
             raise ValueError(f"input length must be positive, got {input_length}")
+        # the conv layers keep the length; each pooling layer sets it
         length = input_length
         for layer in layers:
-            if isinstance(layer, Conv1D):
-                length += 2 * layer.padding - layer.kernel + 1
-            elif isinstance(layer, AvgPoolToLength):
-                if not (length >= 1 and length % layer.target_len == 0):
+            if isinstance(layer, AvgPoolToLength):
+                if length % layer.target_len != 0:
                     raise ValueError(f"the stack cannot take input length {input_length}: "
                                      f"the pooling layer needs a positive multiple of "
                                      f"{layer.target_len}")
@@ -160,21 +161,19 @@ def build_model(
     input_length: int,
     head_size: int,
     rng: np.random.Generator,
-    conv_channels: tuple[int, int] = (64, 256),
-    fc_widths: tuple[int, int, int] = (1024, 1024, 512),
+    conv_channels: tuple[int, int] = CONV_CHANNELS,
+    fc_widths: tuple[int, int, int] = FC_WIDTHS,
     pool_target: int = 1,
 ) -> NetworkModel:
     """The default two-conv, three-hidden-FC stack (see module docstring);
     the layers draw their initial weights from ``rng`` in stack order."""
     c1, c2 = conv_channels
     f1, f2, f3 = fc_widths
-    if input_length % pool_target != 0:
-        raise ValueError(f"pool_target {pool_target} must divide input length {input_length}")
     layers = [
-        Conv1D(2, c1, kernel=3, padding=1, rng=rng),
+        Conv1D(2, c1, rng=rng),
         ReLU(),
         BatchNorm(c1),
-        Conv1D(c1, c2, kernel=3, padding=1, rng=rng),
+        Conv1D(c1, c2, rng=rng),
         ReLU(),
         BatchNorm(c2),
         AvgPoolToLength(pool_target),
@@ -191,8 +190,3 @@ def build_model(
         SoftmaxHead(head_size),
     ]
     return NetworkModel(layers, input_length=input_length, head_size=head_size)
-
-
-def model_from_specs(specs: list[dict], input_length: int, head_size: int) -> NetworkModel:
-    return NetworkModel([layer_from_spec(s) for s in specs],
-                        input_length=input_length, head_size=head_size)

@@ -17,8 +17,8 @@ import struct
 
 import numpy as np
 
-from .layers import LAYER_KINDS
-from .model import NetworkModel, model_from_specs
+from .layers import layer_class, layer_from_spec
+from .model import NetworkModel
 
 _MAGIC = b"NBNM"
 _FORMAT_VERSION = 1
@@ -52,8 +52,8 @@ def _spec_arrays(specs) -> list[tuple[str, tuple]]:
     """(name, shape) of each array the layer specs imply, in manifest order."""
     arrays = []
     for idx, spec in enumerate(specs):
-        kwargs = dict(spec)
-        for name, shape in LAYER_KINDS[kwargs.pop("kind")].array_shapes(**kwargs):
+        cls, sizes = layer_class(spec)
+        for name, shape in cls.array_shapes(**sizes):
             if not all(type(dim) is int and dim >= 1 for dim in shape):
                 raise ValueError(f"layer {idx} {name} has shape {shape}")
             arrays.append((f"layer{idx}.{name}", shape))
@@ -81,14 +81,13 @@ def load_model(path) -> NetworkModel:
             raise NetModelError("model file's array manifest does not match its layers")
         if len(blob) - 32 - offset != 8 * sum(math.prod(shape) for _, shape in manifest):
             raise NetModelError("model file has trailing or missing payload bytes")
-        model = model_from_specs(header["layers"], header["input_length"], header["head_size"])
+        model = NetworkModel([layer_from_spec(spec) for spec in header["layers"]],
+                             header["input_length"], header["head_size"])
     except (ValueError, KeyError, TypeError, IndexError) as exc:
-        # ValueError covers JSON that does not parse and text that is not UTF-8
+        # ValueError covers JSON that does not parse, text that is not UTF-8
+        # and a layer constant that is not the engine's
         raise NetModelError(f"model header describes no valid model: {exc!r}") from exc
-    arrays = list(model.persistent_arrays())
-    if manifest != [(name, value.shape) for name, value in arrays]:
-        raise NetModelError("model file's array manifest does not match its layers")
-    for name, value in arrays:
+    for name, value in model.persistent_arrays():
         data = np.frombuffer(blob, dtype="<f8", count=value.size, offset=offset)
         if not np.isfinite(data).all():
             raise NetModelError(f"non-finite value in {name!r}")

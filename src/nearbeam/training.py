@@ -18,10 +18,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .net import Adam, build_model, cross_entropy_batch, encode_batch
+from .net.model import CONV_CHANNELS, FC_WIDTHS
 
 EVAL_CHUNK = 1024
-# train-SNR buckets of the evaluation report; the top edge takes in 20 dB
-SNR_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0000001)
 
 
 @dataclass
@@ -33,8 +32,8 @@ class TrainConfig:
     patience: int = 10
     optimizer: str = "adam"  # the only optimizer; configs may still name it
     seed: int = 0
-    conv_channels: tuple[int, int] = (64, 256)
-    fc_widths: tuple[int, int, int] = (1024, 1024, 512)
+    conv_channels: tuple[int, int] = CONV_CHANNELS
+    fc_widths: tuple[int, int, int] = FC_WIDTHS
     pool_target: int = 1
     verbose: bool = False
 
@@ -124,9 +123,11 @@ def _train_one_head(x, labels0, train_idx, val_idx, head_size, cfg, seed, tag):
 def train_heads(ds: Dataset, cfg: TrainConfig):
     """Train the direction and distance networks; returns both models and
     the per-epoch history of each. Early stopping needs a validation split:
-    a dataset without one raises ValueError."""
-    if ds.n_val == 0:
-        raise ValueError("train_heads needs validation samples; the dataset's val split is empty")
+    a dataset without one, or without training samples, raises ValueError."""
+    for split, count in (("train", ds.n_train), ("val", ds.n_val)):
+        if count == 0:
+            raise ValueError(f"train_heads needs {split} samples; the dataset's {split} "
+                             f"split is empty")
     x = encode_batch(ds.yw)
     train_idx, val_idx = ds.train_indices, ds.val_indices
     dir_model, dir_hist = _train_one_head(
@@ -148,12 +149,14 @@ def top_k_accuracy(probs: np.ndarray, labels0: np.ndarray, k: int) -> float:
     return float((top == labels0[:, None]).any(axis=1).mean())
 
 
-def _head_report(probs, labels0, snr_db, ks):
+def _head_report(probs, labels0, snr_db, edges, ks):
     report = {"top_k": {k: top_k_accuracy(probs, labels0, k) for k in ks}}
     pred = probs.argmax(axis=1)
     buckets = {}
-    for lo, hi in zip(SNR_EDGES[:-1], SNR_EDGES[1:]):
-        mask = (snr_db >= lo) & (snr_db < hi)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # the top bucket takes in the top of the SNR range
+        below = snr_db <= hi if hi == edges[-1] else snr_db < hi
+        mask = (snr_db >= lo) & below
         if mask.any():
             buckets[f"[{lo:g},{hi:g})"] = float((pred[mask] == labels0[mask]).mean())
     report["top1_by_snr"] = buckets
@@ -176,10 +179,12 @@ def evaluate_heads(
     split: str = "test",
     ks: tuple[int, ...] = (1, 5),
 ) -> dict:
-    """Top-1/top-k accuracy per head, stratified by the sample's train SNR."""
+    """Top-1/top-k accuracy per head, stratified by the sample's train SNR
+    into four equal buckets of the dataset's SNR range."""
     idx = {"train": ds.train_indices, "val": ds.val_indices, "test": ds.test_indices}[split]
     x = encode_batch(ds.yw[idx])
     snr = ds.snr_db[idx]
+    edges = np.linspace(*ds.config["snr_range_db"], 5).tolist()
     report = {"split": split, "count": len(idx)}
     for name, model, labels in (
         ("direction", dir_model, ds.label_n[idx].astype(np.int64) - 1),
@@ -187,5 +192,5 @@ def evaluate_heads(
     ):
         probs = _forward_eval(model, x)
         valid_ks = [k for k in ks if k <= probs.shape[1]] + [probs.shape[1]]
-        report[name] = _head_report(probs, labels, snr, sorted(set(valid_ks)))
+        report[name] = _head_report(probs, labels, snr, edges, sorted(set(valid_ks)))
     return report

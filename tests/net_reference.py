@@ -112,7 +112,8 @@ def reference_model(model: NetworkModel) -> NetworkModel:
     reference formulas, with the same parameters and running statistics."""
     layers = []
     for layer in model.layers:
-        kwargs = {k: v for k, v in layer.spec().items() if k != "kind"}
+        # the size fields only: the constants are the engine's class attributes
+        kwargs = {k: v for k, v in layer.spec().items() if k in layer.sizes}
         layers.append(REFERENCE_LAYERS.get(type(layer), type(layer))(**kwargs))
     ref = NetworkModel(layers, input_length=model.input_length, head_size=model.head_size)
     ref.restore(model.snapshot())

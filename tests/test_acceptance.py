@@ -58,7 +58,7 @@ def test_criterion_1_gradient_correctness(capsys):
 
         worst = max(worst, check_param_grads(loss, layer.parameters()))
 
-    probe(Conv1D(2, 4, kernel=3, padding=1, rng=rng), rng.standard_normal((3, 2, 8)))
+    probe(Conv1D(2, 4, rng=rng), rng.standard_normal((3, 2, 8)))
     probe(FullyConnected(6, 5, rng=rng), rng.standard_normal((4, 6)))
     bn2 = BatchNorm(5)
     bn2.momentum = 0.0

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 
 import numpy as np
 import pytest
@@ -217,6 +218,40 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot train on ") and "val split is empty" in err
         assert not out.exists()
+
+
+    def test_dataset_without_train_split_is_an_error_message(self, tiny_cfg, tmp_path,
+                                                             capsys):
+        # a header that puts all 40 samples in val and test loads, and
+        # training on it stops before any epoch
+        ds = generate_dataset(ArrayConfig(16), ScenarioConfig(), 3, 10.0, 60.0, 4,
+                              num_samples=40, base_seed=1)
+        path = tmp_path / "no_train.nbds"
+        save_dataset(path, dataclasses.replace(ds, n_train=0, n_val=ds.n_train + ds.n_val))
+        assert load_dataset(path).n_train == 0
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(tiny_cfg), "--dataset", str(path),
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot train on ") and "train split is empty" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("yaml_text,match", [
+        ("scenario: {distance_range: [10.0, .inf]}", "distance_range"),
+        ("scenario: {gain_variances: [.inf, 0.01, 0.01]}", "gain variances"),
+        ("array: {num_antennas: 16, carrier_wavelength: .inf}", "carrier_wavelength"),
+    ], ids=["distance-range", "gain-variance", "wavelength"])
+    def test_non_finite_value_is_an_error_message(self, tmp_path, capsys, yaml_text, match):
+        # each of these once made a dataset that its own load rejected
+        path = tmp_path / "c.yaml"
+        path.write_text(f"{yaml_text}\ntrain: {{num_samples: 20}}\n")
+        code = main(["gen-dataset", "--desk-scale", "--config", str(path),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err and "Traceback" not in err
+        assert not (tmp_path / "dataset.nbds").exists()
 
 
 class TestPipeline:

@@ -54,6 +54,13 @@ class TestRingGrid:
         with pytest.raises(ValueError):
             ring_grid(3, 0.0, 10.0)
 
+    @pytest.mark.parametrize("r_min,r_max", [(10.0, np.inf), (np.nan, 60.0), (10.0, np.nan)])
+    def test_non_finite_range_rejected(self, r_min, r_max):
+        # an infinite r_max would put ring 1 at infinity and make its
+        # codewords NaN
+        with pytest.raises(ValueError, match="r_max < inf"):
+            ring_grid(3, r_min, r_max)
+
 
 class TestIndexing:
     def test_examples(self):

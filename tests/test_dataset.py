@@ -239,6 +239,18 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError, match=match):
             load_dataset(path)
 
+    def test_header_declaring_no_samples_rejected(self, tmp_path):
+        # a header, its config blob and no records
+        path = tmp_path / "ds.nbds"
+        save_dataset(path, small_dataset(num_samples=20))
+        raw = path.read_bytes()
+        header = dict(zip(_HEADER_FIELDS, dataset._HEADER.unpack_from(raw)))
+        blob = raw[dataset._HEADER.size:dataset._HEADER.size + header["blob_len"]]
+        header.update(count=0, n_train=0, n_val=0, n_test=0)
+        path.write_bytes(dataset._HEADER.pack(*header.values()) + blob)
+        with pytest.raises(DatasetFormatError, match="declares no samples"):
+            load_dataset(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ds.nbds"
         save_dataset(path, small_dataset(num_samples=20))

@@ -291,3 +291,22 @@ class TestSamplePaths:
     def test_variance_count_validated(self):
         with pytest.raises(ValueError):
             ScenarioConfig(num_paths=2, gain_variances=(1.0,))
+
+    @pytest.mark.parametrize("scenario,match", [
+        (dict(gain_variances=(float("inf"), 0.01, 0.01)), "gain variances"),
+        (dict(distance_range=(10.0, float("inf"))), "distance_range"),
+    ])
+    def test_non_finite_values_rejected(self, scenario, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(**scenario)
+
+
+class TestArrayConfig:
+    @pytest.mark.parametrize("array", [
+        dict(carrier_wavelength=float("inf")),
+        dict(carrier_wavelength=float("nan")),
+        dict(antenna_spacing=float("inf")),
+    ])
+    def test_non_finite_lengths_rejected(self, array):
+        with pytest.raises(ValueError, match="positive finite number"):
+            ArrayConfig(16, **array)

@@ -13,6 +13,7 @@ from nearbeam.net import (
     SoftmaxHead,
     layer_from_spec,
 )
+from nearbeam.net.layers import LAYER_KINDS
 
 
 def _channels_last(rng, b, c, length):
@@ -37,7 +38,7 @@ def _linear_probe(layer, x, rng):
 
 class TestConv1D:
     def test_known_hand_case(self):
-        conv = Conv1D(1, 1, kernel=3, padding=1)
+        conv = Conv1D(1, 1)
         conv.weight[...] = np.array([[[1.0, 2.0, 3.0]]])
         conv.bias[...] = 0.5
         x = np.array([[[1.0, 0.0, -1.0, 2.0]]])
@@ -48,13 +49,13 @@ class TestConv1D:
 
     def test_gradients(self):
         rng = np.random.default_rng(0)
-        conv = Conv1D(3, 4, kernel=3, padding=1, rng=rng)
+        conv = Conv1D(3, 4, rng=rng)
         x = rng.standard_normal((2, 3, 5))
         _linear_probe(conv, x, rng)
 
     def test_gradients_channels_last(self):
         rng = np.random.default_rng(12)
-        conv = Conv1D(3, 4, kernel=3, padding=1, rng=rng)
+        conv = Conv1D(3, 4, rng=rng)
         _linear_probe(conv, _channels_last(rng, 2, 3, 5), rng)
 
     def test_channel_mismatch(self):
@@ -217,3 +218,34 @@ class TestLayerSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             layer_from_spec({"kind": "lstm"})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "conv1d", "in_channels": 2, "out_channels": 4, "kernel": 5, "padding": 2},
+        {"kind": "conv1d", "in_channels": 2, "out_channels": 4, "kernel": 3, "padding": 0},
+        {"kind": "batchnorm", "channels": 4, "momentum": 0.0, "eps": 1e-8},
+        {"kind": "batchnorm", "channels": 4, "momentum": 0.1, "eps": 1.0},
+        {"kind": "batchnorm", "channels": 4},
+        {"kind": "relu", "slope": 0.1},
+    ], ids=["kernel", "padding", "momentum", "eps", "constants-missing", "extra-field"])
+    def test_spec_other_than_the_engines_rejected(self, spec):
+        with pytest.raises(ValueError, match="not the engine's"):
+            layer_from_spec(spec)
+
+    def test_array_shapes_match_the_built_arrays(self):
+        # array_shapes is what load_model checks a file's manifest against
+        # before it builds anything
+        rng = np.random.default_rng(11)
+        cases = [
+            (Conv1D(3, 5, rng=rng), {"in_channels": 3, "out_channels": 5}),
+            (ReLU(), {}),
+            (BatchNorm(6), {"channels": 6}),
+            (AvgPoolToLength(2), {"target_len": 2}),
+            (Flatten(), {}),
+            (FullyConnected(7, 4, rng=rng), {"in_features": 7, "out_features": 4}),
+            (SoftmaxHead(4), {"classes": 4}),
+        ]
+        assert {layer.kind for layer, _ in cases} == set(LAYER_KINDS)
+        for layer, sizes in cases:
+            built = ([(name, value.shape) for name, value, _ in layer.parameters()]
+                     + [(name, value.shape) for name, value in layer.state_arrays()])
+            assert type(layer).array_shapes(**sizes) == built, layer.kind

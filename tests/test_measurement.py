@@ -43,6 +43,20 @@ class TestLinkConfig:
         with pytest.raises(ValueError):
             LinkConfig(noise_variance=-0.1)
 
+    @pytest.mark.parametrize("link", [
+        dict(transmit_power=float("nan")),
+        dict(transmit_power=float("inf")),
+        dict(noise_variance=float("nan")),
+        dict(noise_variance=float("inf")),
+    ])
+    def test_non_finite_values_rejected(self, link):
+        with pytest.raises(ValueError, match="finite"):
+            LinkConfig(**link)
+
+    def test_non_finite_snr_rejected(self):
+        with pytest.raises(ValueError, match="transmit_power must be finite"):
+            link_from_snr_db(float("nan"))
+
     def test_snr_db(self):
         assert link_from_snr_db(10.0).transmit_power == pytest.approx(10.0)
         assert link_from_snr_db(10.0).noise_variance == 1.0
@@ -88,7 +102,7 @@ class TestMeasureWide:
         wide = build_wide_codebook(cfg, 4)
         rng = np.random.default_rng(0)
         meas = measure_wide(wide, np.zeros(512, dtype=complex), NOISELESS, rng)
-        assert len(meas) == 128
+        assert meas.values.shape == (128,)
         npt.assert_array_equal(meas.values, 0.0)
 
     def test_far_field_path_peaks_at_own_wide_beam(self):

@@ -442,6 +442,31 @@ class TestHeaderChecks:
             load_model(path)
 
 
+    @pytest.mark.parametrize("layer,field,value", [
+        (2, "eps", 1.0), (2, "momentum", 0.5), (0, "padding", 2),
+    ])
+    def test_layer_constant_other_than_the_engines_rejected(self, tmp_path, layer, field,
+                                                             value):
+        # layer 0 is the first Conv1D, layer 2 its BatchNorm; the manifest
+        # and payload need no change for these fields
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20)))
+        _rewrite_model(path, header=lambda h: h["layers"][layer].update({field: value}))
+        with pytest.raises(NetModelError, match="not the engine's"):
+            load_model(path)
+
+    def test_other_kernel_with_its_manifest_and_payload_rejected(self, tmp_path):
+        # the first Conv1D's 4x2x3 weights become 4x2x5: 16 more values
+        def edit(h):
+            h["layers"][0].update(kernel=5)
+            h["arrays"][0].update(shape=[4, 2, 5])
+
+        path = tmp_path / "model.nbnm"
+        save_model(path, tiny_model(np.random.default_rng(20)))
+        _rewrite_model(path, header=edit, payload=lambda v: np.concatenate([np.zeros(16), v]))
+        with pytest.raises(NetModelError):
+            load_model(path)
+
     @pytest.mark.parametrize("edit", [
         lambda h: h.update(head_size=99),
         lambda h: h["layers"][-1].update(classes=99),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -54,6 +56,11 @@ class TestTrainHeads:
                               num_samples=20, base_seed=21, val_fraction=0.0)
         assert ds.n_val == 0
         with pytest.raises(ValueError, match="val split is empty"):
+            train_heads(ds, TINY_TRAIN)
+
+    def test_empty_train_split_rejected(self, tiny_ds):
+        ds = dataclasses.replace(tiny_ds, n_train=0, n_val=tiny_ds.n_train + tiny_ds.n_val)
+        with pytest.raises(ValueError, match="train split is empty"):
             train_heads(ds, TINY_TRAIN)
 
     def test_determinism(self, tiny_ds):
@@ -184,3 +191,19 @@ class TestEvaluateHeads:
         assert set(report["direction"]["top1_by_snr"]) <= {
             "[0,5)", "[5,10)", "[10,15)", "[15,20)"
         }
+
+    def test_snr_buckets_span_the_datasets_range(self):
+        # four equal buckets of [-10, 30] dB; the stub is right exactly on
+        # the samples of the top bucket, which takes in 30 dB itself
+        ds = generate_dataset(ArrayConfig(16), ScenarioConfig(), 3, 10.0, 60.0, 4,
+                              num_samples=200, base_seed=21, snr_range_db=(-10.0, 30.0))
+        idx = ds.train_indices
+        ds.snr_db[idx[0]] = 30.0
+        top = ds.snr_db[idx] >= 20.0
+        assert 0 < top.sum() < len(idx)
+        rows = np.zeros((len(idx), 16))
+        rows[np.arange(len(idx)), np.where(top, ds.label_n[idx] - 1, ds.label_n[idx] % 16)] = 1
+        report = evaluate_heads(_SeqStub(rows), _SeqStub(np.full((len(idx), 3), 1 / 3)), ds,
+                                split="train", ks=(1,))
+        assert report["direction"]["top1_by_snr"] == {
+            "[-10,0)": 0.0, "[0,10)": 0.0, "[10,20)": 0.0, "[20,30)": 1.0}
